@@ -1,13 +1,15 @@
 """Digraph analysis and exact stationary computations for labeled chains.
 
 The digraph records which cells can follow which under positive-probability
-edges. Stationary weights are solved exactly over the rationals on the
-terminal strongly connected component; transient vertices get weight zero.
+edges. Stationary weights and first moments are solved exactly over the
+rationals by sparse elimination on the arcs of each terminal strongly
+connected component; transient vertices get weight zero.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,9 +31,6 @@ class Digraph:
         for arc_id, u, v in self.arcs:
             if u not in vs or v not in vs:
                 raise RdsError(f"arc {arc_id} touches unknown vertex")
-
-    def successors(self, v):
-        return [t for _, u, t in self.arcs if u == v]
 
 
 def digraph_of_chain(chain) -> Digraph:
@@ -181,21 +180,57 @@ def terminal_components(g: Digraph) -> list:
 # exact linear algebra
 
 def solve_exact(rows: list, rhs: list) -> list:
-    """Solve a square rational system by Gauss-Jordan elimination."""
+    """Solve a square rational system by sparse Gaussian elimination.
+
+    A row is a dense sequence or a `{column: value}` mapping; zero entries
+    are dropped. Each step pivots on the sparsest remaining row and, within
+    it, on the column that appears in the fewest remaining rows
+    (Markowitz-style), which keeps the fill-in of the chain systems small;
+    back-substitution follows. All arithmetic is in `Fraction`, so the
+    solution is exact. Raises `SingularSystem` when a row empties.
+    """
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystem(f"singular system at column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    active = {}
+    for r, row in enumerate(rows):
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        active[r] = {c: Fraction(v) for c, v in items if v != 0}
+    b = [Fraction(v) for v in rhs]
+    where = {c: set() for c in range(n)}     # column -> active rows using it
+    for r, row in active.items():
+        for c in row:
+            where[c].add(r)
+
+    eliminated = []
+    while active:
+        r = min(active, key=lambda k: (len(active[k]), k))
+        row = active.pop(r)
+        if not row:
+            raise SingularSystem(f"singular system: row {r} empties")
+        col = min(row, key=lambda c: (len(where[c]), c))
+        for c in row:
+            where[c].discard(r)
+        pivot = row[col]
+        for other in where.pop(col):
+            orow = active[other]
+            factor = orow.pop(col) / pivot
+            for c, v in row.items():
+                if c == col:
+                    continue
+                value = orow.get(c, 0) - factor * v
+                if value:
+                    if c not in orow:
+                        where[c].add(other)
+                    orow[c] = value
+                else:
+                    del orow[c]
+                    where[c].discard(other)
+            b[other] -= factor * b[r]
+        eliminated.append((col, row, b[r]))
+
+    x = [Fraction(0)] * n
+    for col, row, rhs_r in reversed(eliminated):
+        x[col] = (rhs_r - sum(v * x[c] for c, v in row.items() if c != col)) / row[col]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +239,8 @@ def solve_exact(rows: list, rhs: list) -> list:
 @dataclass
 class StationaryResult:
     pi: Optional[dict]          # vertex -> Fraction (None when non-unique)
-    method: str                 # "exact_solve" | "power_iteration"
-    residual: object            # max |pi A - pi| entry (Fraction 0 for exact)
+    method: str                 # always "exact_solve"
+    residual: Fraction          # max |pi A - pi| entry, 0 once checked
     terminal: list              # terminal components
     unique: bool
     component_pis: list         # one pi dict per terminal component
@@ -223,76 +258,57 @@ def aggregated_matrix(chain) -> list:
     return mat
 
 
-def _solve_component(mat, comp) -> dict:
-    k = len(comp)
+def _solve_component(chain, comp) -> dict:
+    """Stationary weights of one terminal component, built from its arcs.
+
+    The balance equation of `comp[0]` is implied by the others, so it is
+    replaced by fixing that state's weight to 1; the solution is then
+    divided by its sum.
+    """
     pos = {v: i for i, v in enumerate(comp)}
-    # stationarity equations (drop one for rank) plus normalization
-    rows = []
-    rhs = []
-    for j in comp[:-1]:
-        row = [Fraction(0)] * k
-        for i in comp:
-            row[pos[i]] += mat[i][j]
-        row[pos[j]] -= 1
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k)
-    rhs.append(Fraction(1))
+    rows = [{i: Fraction(-1)} for i in range(len(comp))]
+    for (s, label), p in chain.prob.items():
+        if s in pos:
+            row = rows[pos[chain.target[(s, label)]]]
+            row[pos[s]] = row.get(pos[s], 0) + p
+    rows[0] = {0: Fraction(1)}
+    rhs = [Fraction(1)] + [Fraction(0)] * (len(comp) - 1)
     sol = solve_exact(rows, rhs)
-    return {v: sol[pos[v]] for v in comp}
+    total = sum(sol)
+    return {v: sol[pos[v]] / total for v in comp}
 
 
-def _residual(mat, pi: dict, vertices) -> Fraction:
-    worst = Fraction(0)
-    for j in vertices:
-        acc = sum((pi[i] * mat[i][j] for i in vertices), Fraction(0))
-        worst = max(worst, abs(acc - pi[j]))
-    return worst
+def _residual(chain, pi: dict) -> Fraction:
+    """max over vertices of |(pi A)_v - pi_v|, summed over the arcs."""
+    flow = dict.fromkeys(pi, Fraction(0))
+    for (s, label), p in chain.prob.items():
+        flow[chain.target[(s, label)]] += pi[s] * p
+    return max((abs(flow[v] - pi[v]) for v in pi), default=Fraction(0))
 
 
 def stationary_distribution(chain, *, exact_max_states: int = 128,
                             power_tol: float = 1e-12) -> StationaryResult:
-    """Stationary weights of the aggregated chain.
+    """Exact stationary weights of the aggregated chain, at every size.
 
-    Solved exactly on the terminal strongly connected component (transient
-    vertices get weight zero). When several terminal components exist the
-    result is flagged non-unique and carries one exact solution each.
-    With more states than `exact_max_states`, falls back to float power
-    iteration and reports the residual.
+    Solved by sparse rational elimination on each terminal strongly
+    connected component (transient vertices get weight zero) and checked
+    exactly: a nonzero residual raises. When several terminal components
+    exist the result is flagged non-unique and carries one exact solution
+    each. There is no float fallback; `exact_max_states` and `power_tol`
+    are accepted for compatibility and ignored.
     """
-    mat = aggregated_matrix(chain)
-    g = digraph_of_chain(chain)
-    terms = terminal_components(g)
-    vertices = list(range(chain.n_states))
-
-    if chain.n_states > exact_max_states:
-        arr = np.array([[float(v) for v in row] for row in mat])
-        vec = np.full(chain.n_states, 1.0 / chain.n_states)
-        for _ in range(1_000_000):
-            nxt = vec @ arr
-            if np.abs(nxt - vec).max() < power_tol:
-                vec = nxt
-                break
-            vec = nxt
-        pi = {v: vec[v] for v in vertices}
-        residual = float(np.abs(vec @ arr - vec).max())
-        return StationaryResult(pi=pi, method="power_iteration", residual=residual,
-                                terminal=terms, unique=len(terms) == 1,
-                                component_pis=[pi])
-
+    terms = terminal_components(digraph_of_chain(chain))
     component_pis = []
     for comp in terms:
-        sol = {v: Fraction(0) for v in vertices}
-        sol.update(_solve_component(mat, comp))
+        sol = dict.fromkeys(range(chain.n_states), Fraction(0))
+        sol.update(_solve_component(chain, comp))
+        if _residual(chain, sol) != 0:
+            raise RdsError("exact stationary solve left a nonzero residual")
         component_pis.append(sol)
 
     unique = len(terms) == 1
-    pi = component_pis[0] if unique else None
-    residual = _residual(mat, pi, vertices) if unique else None
-    if unique and residual != 0:
-        raise RdsError("exact stationary solve left a nonzero residual")
-    return StationaryResult(pi=pi, method="exact_solve",
-                            residual=residual if unique else Fraction(0),
+    return StationaryResult(pi=component_pis[0] if unique else None,
+                            method="exact_solve", residual=Fraction(0),
                             terminal=terms, unique=unique,
                             component_pis=component_pis)
 
@@ -328,6 +344,8 @@ def exact_first_moment(spec, chain, stationary: StationaryResult) -> MomentResul
     Solves the exact linear system expressing invariance of the measure
     x * 1_{cell j} under one step of the dynamics, then checks the global
     identity mean = sum over arcs of pi * p * (slope * mean + intercept).
+    The unknowns are the masses pi_j * mean_j, so the coefficients are the
+    small products p * slope and only the right-hand side carries pi.
     """
     if stationary.pi is None:
         raise SingularSystem("stationary weights are not unique")
@@ -336,11 +354,8 @@ def exact_first_moment(spec, chain, stationary: StationaryResult) -> MomentResul
     pos = {v: i for i, v in enumerate(support)}
     maps = {e.edge_id: e.map for e in spec.edges}
 
-    k = len(support)
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    rhs = [Fraction(0)] * k
-    for j in support:
-        rows[pos[j]][pos[j]] += pi[j]
+    rows = [{i: Fraction(1)} for i in range(len(support))]
+    rhs = [Fraction(0)] * len(support)
     for (s, label), p in chain.prob.items():
         if s not in pos:
             continue
@@ -348,11 +363,12 @@ def exact_first_moment(spec, chain, stationary: StationaryResult) -> MomentResul
         if t not in pos:
             raise SingularSystem("recurrent class leaks into zero-weight vertex")
         m = maps[label]
-        rows[pos[t]][pos[s]] -= pi[s] * p * m.slope
+        row = rows[pos[t]]
+        row[pos[s]] = row.get(pos[s], 0) - p * m.slope
         rhs[pos[t]] += pi[s] * p * m.intercept
 
     sol = solve_exact(rows, rhs)
-    per_class = {v: sol[pos[v]] for v in support}
+    per_class = {v: sol[pos[v]] / pi[v] for v in support}
     global_mean = sum((pi[v] * per_class[v] for v in support), Fraction(0))
 
     pushed = Fraction(0)

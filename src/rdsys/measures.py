@@ -378,10 +378,12 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
 
     Exact phase: tail masses for every depth up to n_exact and every grid
     threshold, in both directions; any positive-mass word whose opposite
-    mass is zero is an exact singularity certificate. Monte Carlo phase:
-    seeded per-sample substreams estimate the per-step log-ratio drift
-    (positive drift means the ratios diverge) and large-depth tail
-    frequencies. The verdict never claims more than its evidence grade.
+    mass is zero is an exact singularity certificate, and nothing else
+    is: tail masses near 1 at every threshold only count as statistical
+    evidence. Monte Carlo phase: seeded per-sample substreams estimate the
+    per-step log-ratio drift (positive drift means the ratios diverge) and
+    large-depth tail frequencies. The verdict never claims more than its
+    evidence grade.
     """
     params = params or XiParams()
     if params.seed is None:
@@ -431,9 +433,11 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
                      for n in range(1, params.n_exact + 1))
     all_tails_zero = all(mass == 0 for mass in table.values())
 
-    if witness is not None or persistent:
+    # only an exact witness word certifies: a large likelihood ratio at a
+    # finite depth (`persistent`) does not prove singularity
+    if witness is not None:
         verdict = "singular_certified"
-    elif z_fwd > params.drift_z or z_rev > params.drift_z:
+    elif persistent or z_fwd > params.drift_z or z_rev > params.drift_z:
         verdict = "singular_statistical"
     elif external_certificate:
         verdict = "equivalent"

@@ -1,5 +1,6 @@
-"""Edge cases crossing module boundaries: fallback solver, degenerate
-sampling detection, xi verdict grading, and empirical cylinder laws."""
+"""Edge cases crossing module boundaries: exact solves on large periodic
+chains, degenerate sampling detection, xi verdict grading, and empirical
+cylinder laws."""
 
 import math
 from fractions import Fraction
@@ -7,26 +8,47 @@ from fractions import Fraction
 import pytest
 
 from rdsys import systems
-from rdsys.graph import stationary_distribution
+from rdsys.graph import stationary_from_matrix
 from rdsys.measures import (DegenerateSampling, XiParams, cylinder_measure,
                             enumerate_cylinders, xi_estimate)
 from rdsys.model import (AffineMap, Edge, Interval, PiecewiseConstant,
                          SystemSpec)
 from rdsys.dynamics import simulate
-from rdsys.partition import extract_symbolic_chain, stable_partition
 
 F = Fraction
 STEP = systems.step_system()
 
 
-def test_power_iteration_fallback_reports_residual():
-    chain = extract_symbolic_chain(STEP, stable_partition(STEP))
-    res = stationary_distribution(chain, exact_max_states=2)
-    assert res.method == "power_iteration"
-    assert res.residual < 1e-10
-    exact = stationary_distribution(chain)
-    for v in range(chain.n_states):
-        assert abs(res.pi[v] - float(exact.pi[v])) < 1e-9
+def test_periodic_130_state_chain_exact():
+    # state 0 goes to each of the other 129 states, each goes back to 0:
+    # period 2, so iterating the chain never converges
+    n = 130
+    rows = [[F(0)] * n for _ in range(n)]
+    rows[0][1:] = [F(1, n - 1)] * (n - 1)
+    for i in range(1, n):
+        rows[i][0] = F(1)
+    res = stationary_from_matrix(rows)
+    assert res.method == "exact_solve"
+    assert res.residual == 0
+    assert res.unique
+    assert res.pi[0] == F(1, 2)
+    assert all(res.pi[v] == F(1, 258) for v in range(1, n))
+
+
+def test_xi_persistent_tails_do_not_certify():
+    # the pair is merged by the exact coupling certificate; large
+    # likelihood ratios at finite depth are no witness of singularity
+    low = Interval(F(0), F(1, 2))
+    high = Interval(F(1, 2), F(1), False, True)
+    p0 = {low: F(1, 10000), high: F(9999, 10000)}
+    probs = (p0, {iv: 1 - p for iv, p in p0.items()})
+    spec = SystemSpec(domain=Interval(F(0), F(1)), edges=tuple(
+        Edge(str(e), AffineMap(F(1, 3), F(e, 3)), PiecewiseConstant(tuple(probs[e].items())))
+        for e in range(2)))
+    rep = xi_estimate(spec, F(1, 4), F(3, 4),
+                      XiParams(seed=7, num_samples=200, n_mc=200))
+    assert rep.infinity_witness is None
+    assert rep.verdict != "singular_certified"
 
 
 def test_degenerate_sampling_detected():

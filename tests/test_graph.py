@@ -11,8 +11,11 @@ from rdsys.graph import (Digraph, MomentResult, aggregated_matrix,
                          is_recurrent, solve_exact, stationary_distribution,
                          stationary_from_matrix, strongly_connected_components,
                          terminal_components)
-from rdsys.model import AffineMap, Edge, Interval, PiecewiseConstant, SystemSpec
-from rdsys.partition import extract_symbolic_chain, refine_markov_partition
+from rdsys.model import (AffineMap, Edge, Interval, PiecewiseConstant,
+                         RefinementBudgetExceeded, SingularSystem, SystemSpec,
+                         cells_from_cuts)
+from rdsys.partition import (extract_symbolic_chain, refine_markov_partition,
+                             stable_partition)
 
 F = Fraction
 
@@ -237,3 +240,166 @@ class TestSolver:
             except Exception:
                 continue  # singular draw
             assert sol == x
+
+
+# ---------------------------------------------------------------------------
+# dense reference path: the Gauss-Jordan solver and the dense stationary and
+# moment systems that the sparse solves replaced, kept as the test oracle
+
+def dense_gauss_jordan(rows, rhs):
+    n = len(rows)
+    aug = [[F(v) for v in row] + [F(rhs[i])] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem(f"singular system at column {col}")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def dense_component_pis(chain):
+    mat = aggregated_matrix(chain)
+    pis = []
+    for comp in terminal_components(digraph_of_chain(chain)):
+        k = len(comp)
+        pos = {v: i for i, v in enumerate(comp)}
+        rows, rhs = [], []
+        for j in comp[:-1]:
+            row = [F(0)] * k
+            for i in comp:
+                row[pos[i]] += mat[i][j]
+            row[pos[j]] -= 1
+            rows.append(row)
+            rhs.append(F(0))
+        rows.append([F(1)] * k)
+        rhs.append(F(1))
+        sol = dense_gauss_jordan(rows, rhs)
+        pi = {v: F(0) for v in range(chain.n_states)}
+        pi.update({v: sol[pos[v]] for v in comp})
+        pis.append(pi)
+    return pis
+
+
+def dense_moments(spec, chain, pi):
+    support = [v for v in range(chain.n_states) if pi[v] > 0]
+    pos = {v: i for i, v in enumerate(support)}
+    maps = {e.edge_id: e.map for e in spec.edges}
+    k = len(support)
+    rows = [[F(0)] * k for _ in range(k)]
+    rhs = [F(0)] * k
+    for j in support:
+        rows[pos[j]][pos[j]] += pi[j]
+    for (s, label), p in chain.prob.items():
+        if s in pos:
+            t, m = chain.target[(s, label)], maps[label]
+            rows[pos[t]][pos[s]] -= pi[s] * p * m.slope
+            rhs[pos[t]] += pi[s] * p * m.intercept
+    sol = dense_gauss_jordan(rows, rhs)
+    return {v: sol[pos[v]] for v in support}
+
+
+def random_rational(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+class TestSparseSolverAgainstDenseOracle:
+    def test_random_dense_sparse_and_singular_systems(self, rng):
+        outcomes = {"solved": 0, "singular": 0}
+        for trial in range(400):
+            n = rng.randint(1, 9)
+            density = rng.choice([1.0, 0.5, 0.25])
+            rows = [[random_rational(rng) if rng.random() < density else F(0)
+                     for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 3 and n > 1:
+                # one row a combination of two others: singular by construction
+                i, k = rng.sample(range(n), 2)
+                j = rng.choice([c for c in range(n) if c != k])
+                a, b = random_rational(rng), random_rational(rng)
+                rows[k] = [a * u + b * w for u, w in zip(rows[i], rows[j])]
+            rhs = [random_rational(rng) for _ in range(n)]
+            # half the draws go in as {column: value} mappings, zeros kept
+            given = [dict(enumerate(r)) for r in rows] if trial % 2 else rows
+            try:
+                expected = dense_gauss_jordan(rows, rhs)
+            except SingularSystem:
+                outcomes["singular"] += 1
+                with pytest.raises(SingularSystem):
+                    solve_exact(given, rhs)
+                continue
+            outcomes["solved"] += 1
+            assert solve_exact(given, rhs) == expected
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_stationary_and_moments_on_random_systems(self):
+        from conftest import random_system
+        rng = random.Random(0x5EED)
+        seen = {"unique": 0, "several": 0, "moments": 0, "singular": 0}
+        for _ in range(200):
+            spec = random_system(rng)
+            try:
+                chain = extract_symbolic_chain(spec, stable_partition(spec))
+            except RefinementBudgetExceeded:
+                continue
+            res = stationary_distribution(chain)
+            assert res.method == "exact_solve"
+            assert res.component_pis == dense_component_pis(chain)
+            if not res.unique:
+                seen["several"] += 1
+                continue
+            seen["unique"] += 1
+            assert res.residual == 0
+            try:
+                expected = dense_moments(spec, chain, res.pi)
+            except SingularSystem:
+                seen["singular"] += 1
+                with pytest.raises(SingularSystem):
+                    exact_first_moment(spec, chain, res)
+                continue
+            seen["moments"] += 1
+            assert exact_first_moment(spec, chain, res).per_class == expected
+        assert all(seen.values()), seen
+
+
+def triadic_system(m, rng):
+    """Maps x/3 + e/3 (e = 0, 1, 2), probabilities constant on the cells
+    cut at j/3^m, with per-cell weights 1..4 normalised."""
+    unit = Interval(F(0), F(1))
+    cells = cells_from_cuts(unit, [(F(j, 3 ** m), 1) for j in range(1, 3 ** m)])
+    weights = [[rng.randint(1, 4) for _ in range(3)] for _ in cells]
+    return SystemSpec(domain=unit, edges=tuple(
+        Edge(str(e), AffineMap(F(1, 3), F(e, 3)),
+             PiecewiseConstant(tuple((cell, F(w[e], sum(w)))
+                                     for cell, w in zip(cells, weights))))
+        for e in range(3)))
+
+
+def test_triadic_244_states_exact_weights_and_moments():
+    spec = triadic_system(5, random.Random(1))
+    chain = extract_symbolic_chain(spec, stable_partition(spec))
+    assert chain.n_states == 244
+    res = stationary_distribution(chain)
+    assert res.unique and res.method == "exact_solve" and res.residual == 0
+    pi = res.pi
+    assert all(isinstance(w, Fraction) and w >= 0 for w in pi.values())
+    assert sum(pi.values()) == 1
+    flow = {v: F(0) for v in pi}
+    for (s, label), p in chain.prob.items():
+        flow[chain.target[(s, label)]] += pi[s] * p
+    assert flow == pi
+
+    mom = exact_first_moment(spec, chain, res)
+    assert mom.identity_residual == 0
+    maps = {e.edge_id: e.map for e in spec.edges}
+    mass = {v: F(0) for v in mom.per_class}
+    for (s, label), p in chain.prob.items():
+        if s in mom.per_class:
+            m = maps[label]
+            mass[chain.target[(s, label)]] += pi[s] * p * (m.slope * mom.per_class[s]
+                                                         + m.intercept)
+    assert all(mass[v] == pi[v] * mom.per_class[v] for v in mom.per_class)
