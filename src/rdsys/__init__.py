@@ -15,12 +15,13 @@ from .sysfile import format_system, load_system, parse_system, save_system
 from .measures import (ExtendedRatio, XiParams, XiReport, cylinder_measure,
                        enumerate_cylinders, likelihood_ratio,
                        martingale_discrepancy, tail_mass_exact, xi_estimate)
-from .partition import (Cell, FundamentalPartition, IntervalPartition,
-                        LabeledChain, PartitionParams, classify_point,
-                        coupling_merge_test, extract_symbolic_chain,
-                        fundamental_partition, lift_check, measure_equality,
-                        refine_markov_partition, stable_partition,
-                        support_separation, tagged_partition)
+from .partition import (BalancedProduct, Cell, FundamentalPartition,
+                        IntervalPartition, LabeledChain, PartitionParams,
+                        ProductGraph, UnbalancedProduct, classify_point,
+                        extract_symbolic_chain, fundamental_partition,
+                        lift_check, pair_certificate, refine_markov_partition,
+                        stable_partition, tagged_partition,
+                        verify_product_certificates)
 from .graph import (Digraph, MomentResult, StationaryResult, digraph_of_chain,
                     exact_first_moment, is_aperiodic, is_irreducible,
                     is_recurrent, stationary_distribution,

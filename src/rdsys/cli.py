@@ -3,6 +3,7 @@
 Subcommands: validate, cylinders, xi, partition, graph, simulate, rate.
 Exit codes: 0 success, 1 validation failure, 2 budget exhaustion,
 3 internal invariant violation. Stochastic subcommands require --seed;
+partition and graph accept it and ignore it, since they sample nothing;
 identical inputs, seed and caps produce byte-identical outputs.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import dynamics, graph as graphmod, measures, partition as partmod
 from .model import (BudgetExceeded, OutOfDomain, RdsError, SpecFileError,
-                    as_point, format_rational, markov_operator,
+                    as_point, format_rational, format_word, markov_operator,
                     validate_system)
 from .sysfile import load_system
 
@@ -68,6 +69,9 @@ def _jsonable(value):
     return value
 
 
+UNUSED_SEED = "accepted and ignored: every verdict is exact, nothing is sampled"
+
+
 def _add_common(sp, *, seeded: bool) -> None:
     sp.add_argument("system", help="system specification file")
     sp.add_argument("-o", "--outdir", default=None, help="directory for output files")
@@ -104,12 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word-budget", type=int, default=measures.DEFAULT_WORD_BUDGET)
 
     sp = sub.add_parser("partition", help="stable partition and merged classes")
-    _add_common(sp, seeded=True)
+    _add_common(sp, seeded=False)
+    sp.add_argument("--seed", type=int, help=UNUSED_SEED)
     sp.add_argument("--refine-cap", type=int, default=256)
     sp.add_argument("--lift-depth", type=int, default=6)
 
     sp = sub.add_parser("graph", help="digraph flags, stationary weights, moments")
-    _add_common(sp, seeded=True)
+    _add_common(sp, seeded=False)
+    sp.add_argument("--seed", type=int, help=UNUSED_SEED)
     sp.add_argument("--refine-cap", type=int, default=256)
 
     sp = sub.add_parser("simulate", help="simulate a trace and report averages")
@@ -153,11 +159,11 @@ def _cmd_cylinders(args, spec, out: _Output) -> int:
             f"total mass {format_rational(total)}")
     csv = ["word,mass"]
     for word, mass in rows:
-        csv.append(f"{measures.format_word(word)},{format_rational(mass)}")
+        csv.append(f"{format_word(word)},{format_rational(mass)}")
     out.file("cylinders.csv", "\n".join(csv) + "\n")
     out.say("\n".join(csv))
     tree = {"x": str(x), "depth": args.depth,
-            "cylinders": {measures.format_word(w): format_rational(m) for w, m in rows}}
+            "cylinders": {format_word(w): format_rational(m) for w, m in rows}}
     out.flush(tree if args.json else None)
     return EXIT_OK
 
@@ -169,12 +175,12 @@ def _cmd_xi(args, spec, out: _Output) -> int:
     report = measures.xi_estimate(spec, as_point(args.x), as_point(args.y), params)
     out.say(f"verdict: {report.verdict}")
     if report.infinity_witness is not None:
-        out.say(f"exact separating word: {measures.format_word(report.infinity_witness)}")
+        out.say(f"exact separating word: {format_word(report.infinity_witness)}")
     out.say(f"drift (x-direction): {report.mc_drift!r} +- {report.mc_drift_stderr!r}")
     out.say(f"drift (y-direction): {report.mc_drift_reverse!r} +- {report.mc_drift_reverse_stderr!r}")
     out.say(f"sampled infinite-ratio fraction: {report.mc_infinity_fraction!r}")
     out.say(f"evidence grade: "
-            + ("exact certificate" if report.verdict == "singular_certified"
+            + ("exact certificate" if report.exact
                else f"statistical, seed={report.seed}"))
     out.file("xi.csv", report.to_csv())
     out.say(report.to_csv().rstrip("\n"))
@@ -197,7 +203,7 @@ def _spot_points(spec, count: int):
 
 
 def _cmd_partition(args, spec, out: _Output) -> int:
-    params = partmod.PartitionParams(refinement_cap=args.refine_cap, seed=args.seed)
+    params = partmod.PartitionParams(refinement_cap=args.refine_cap)
     fp = partmod.fundamental_partition(spec, params)
     out.say(partmod.partition_report(fp).rstrip("\n"))
 
@@ -238,7 +244,7 @@ def _cmd_partition(args, spec, out: _Output) -> int:
 
 
 def _cmd_graph(args, spec, out: _Output) -> int:
-    params = partmod.PartitionParams(refinement_cap=args.refine_cap, seed=args.seed)
+    params = partmod.PartitionParams(refinement_cap=args.refine_cap)
     fp = partmod.fundamental_partition(spec, params)
     chain = fp.chain
     g = graphmod.digraph_of_chain(chain)
@@ -313,8 +319,7 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
         out.say(f"ergodic average of {f}: {shown}")
         tree["averages"][str(f)] = shown
 
-    params = partmod.PartitionParams(seed=args.seed)
-    fp = partmod.fundamental_partition(spec, params)
+    fp = partmod.fundamental_partition(spec)
     freqs = dynamics.class_frequencies(trace, fp)
     out.say("class visit frequencies:")
     for info in fp.classes:

@@ -17,17 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import sampling
+from . import partition, sampling
 from .model import (BudgetExceeded, DegenerateSampling, Point, PointLike,
-                    SystemSpec, as_point, format_rational)
-
-Word = tuple  # of edge ids (str)
+                    SystemSpec, Word, as_point, format_rational)
 
 DEFAULT_WORD_BUDGET = 1 << 20
-
-
-def format_word(word: Word) -> str:
-    return ".".join(word) if word else "-"
 
 
 def _check_budget(spec: SystemSpec, depth: int, budget: int) -> None:
@@ -261,6 +255,15 @@ class XiReport:
     seed: int
     num_samples: int
     n_mc: int
+    pair_certificate: object = None  # exact verdict of the points' cells, if any
+
+    @property
+    def exact(self) -> bool:
+        """True when the verdict rests on an exact certificate: a witness
+        word, or the product-graph proof that the measures are equivalent."""
+        return self.verdict == "singular_certified" or (
+            self.verdict == "equivalent" and self.pair_certificate is not None
+            and self.pair_certificate.kind == "balanced_product")
 
     def to_csv(self) -> str:
         lines = ["n,M,exact_tail"]
@@ -382,8 +385,12 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     is: tail masses near 1 at every threshold only count as statistical
     evidence. Monte Carlo phase: seeded per-sample substreams estimate the
     per-step log-ratio drift (positive drift means the ratios diverge) and
-    large-depth tail frequencies. The verdict never claims more than its
-    evidence grade.
+    large-depth tail frequencies. When the system has a stable partition,
+    the exact verdict for the two points' cells (`partition.pair_certificate`)
+    comes before the statistical rules: a separating word certifies
+    singularity, a balanced product graph gives `equivalent`, and an
+    unbalanced one gives `singular_statistical`, since only a word may
+    certify. The verdict never claims more than its evidence grade.
     """
     params = params or XiParams()
     if params.seed is None:
@@ -429,6 +436,10 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
                 witness = word
                 break
 
+    cert = partition.pair_certificate(spec, xp, yp)
+    if witness is None and cert is not None and cert.kind == "support_separation":
+        witness = cert.word
+
     persistent = any(all(table[(n, M)] >= 1 - params.tol for M in grid)
                      for n in range(1, params.n_exact + 1))
     all_tails_zero = all(mass == 0 for mass in table.values())
@@ -437,6 +448,10 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     # finite depth (`persistent`) does not prove singularity
     if witness is not None:
         verdict = "singular_certified"
+    elif cert is not None and cert.kind == "balanced_product":
+        verdict = "equivalent"
+    elif cert is not None and cert.kind == "unbalanced_product":
+        verdict = "singular_statistical"
     elif persistent or z_fwd > params.drift_z or z_rev > params.drift_z:
         verdict = "singular_statistical"
     elif external_certificate:
@@ -452,4 +467,4 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
         mc_drift_reverse=drift_rev, mc_drift_reverse_stderr=stderr_rev,
         mc_tail_estimates=mc_tails, mc_infinity_fraction=inf_fraction,
         verdict=verdict, seed=params.seed, num_samples=params.num_samples,
-        n_mc=params.n_mc)
+        n_mc=params.n_mc, pair_certificate=cert)

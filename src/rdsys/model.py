@@ -108,6 +108,13 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+Word = tuple  # of edge ids (str)
+
+
+def format_word(word: Word) -> str:
+    return ".".join(word) if word else "-"
+
+
 # ---------------------------------------------------------------------------
 # points and intervals
 

@@ -2,30 +2,78 @@
 
 The pipeline refines the domain into cells on which every probability
 function is constant and every map sends a cell into a single cell, reads
-off the finite labeled chain, and then decides for each pair of cells
-whether the path measures started inside them share null sets. Exact
-certificates (a separating word, equality of the measures, or a coupling
-argument on the product chain) take precedence over seeded statistical
-evidence. The certified-equivalent cells merge into classes, producing a
-reduced edge set with a label projection back onto the original edges.
+off the finite labeled chain, and then decides exactly, for every pair of
+cells, whether the path measures started inside them are mutually
+absolutely continuous. The equivalent cells merge into classes, producing
+a reduced edge set with a label projection back onto the original edges.
+
+All pairs are decided from one graph, the shared-label product graph of
+the chain. Its vertices are the ordered state pairs (a, b); its arc with
+label l leads from (a, b) to (target(a, l), target(b, l)) when both states
+support l. A vertex is *separating* when exactly one of its two states
+supports some label. A terminal strongly connected component of the
+separation-free vertices is *balanced* when p(a, l) = p(b, l) for every
+vertex (a, b) in it and every label l its states support.
+
+Theorem. For states i and j:
+1. if a separating vertex is reachable from (i, j), the measures are not
+   equivalent: the word leading there, followed by the separating label,
+   has positive mass from one state and zero mass from the other;
+2. otherwise they are equivalent exactly when every terminal component
+   reachable from (i, j) is balanced.
+
+Proof sketch of 2. Both states support the same labels along every path,
+so the likelihood ratio Z_n = P_i(w_1..w_n) / P_j(w_1..w_n) is a finite
+product of factors p(a, l) / p(b, l) along the product path. Under either
+measure the path leaves the transient components after finitely many
+steps almost surely and stays in one reachable terminal component.
+- Balanced: every factor from then on is 1, so Z_n freezes at a value in
+  (0, inf). The limit is finite and positive almost surely under both
+  measures, so each is absolutely continuous with respect to the other.
+- Unbalanced component C, entered with positive P_i-probability: under P_i
+  the path in C is an irreducible finite Markov chain with stationary law
+  pi > 0, and log Z_n is an additive functional whose mean per step is the
+  relative-entropy rate sum_v pi(v) KL(p(a_v, .) || p(b_v, .)). It is
+  finite because the supports agree and positive because some vertex of C
+  is unbalanced. By the strong law of large numbers for finite Markov
+  chains, log Z_n / n converges to it, so Z_n diverges almost surely on
+  entering C. Absolute continuity of P_i with respect to P_j would make
+  the limit of Z_n finite P_i-almost surely, so the measures are not
+  equivalent. Kakutani's dichotomy for product measures (1948) is the
+  i.i.d. case.
+
+`ProductGraph` computes this once per chain:
+- a backward breadth-first search in layers from the separating vertices
+  gives every vertex its distance to separation and the next label of its
+  lex-least shortest separating word;
+- one Tarjan pass (`graph.terminal_components`) finds the terminal
+  components of the separation-free part;
+- a second backward search, from the unbalanced vertices of unbalanced
+  terminal components, marks the pairs that reach one and gives each a
+  lex-least shortest word to such a vertex.
+Each pair then gets one finite certificate, re-checked by
+`verify_product_certificates`: `SupportSeparation` (case 1),
+`BalancedProduct` (equivalent; diagonal coupling is the special case in
+which every reachable terminal component lies on the diagonal) or
+`UnbalancedProduct` (not equivalent, with no support gap).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import graph as graphmod
-from .measures import (Word, XiParams, XiReport, cylinder_measure, format_word,
-                       xi_estimate)
+from . import graph as graphmod, measures
 from .model import (BudgetExceeded, ImageSplitsCells, InconsistentMerge,
                     Interval, NonConstantOnCell, NotPiecewiseConstant,
                     OutOfDomain, PiecewiseConstant, Point, PointLike,
-                    RationalityPredicate, RdsError, RefinementBudgetExceeded,
-                    SystemSpec, as_point, cells_from_cuts, format_rational)
+                    RefinementBudgetExceeded, SystemSpec, Word, as_point,
+                    cells_from_cuts, format_rational, format_word,
+                    markov_operator)
 
 RATIONAL_TAG = "rational"
 IRRATIONAL_TAG = "irrational"
@@ -66,15 +114,37 @@ class IntervalPartition:
     provenance: dict   # (breakpoint, side) -> "probability" | "preimage"
     tagged: bool
 
+    def __post_init__(self):
+        # per tag: the cells' start keys, end keys and indices, by position
+        self._index = {}
+        for k, cell in sorted(enumerate(self.cells),
+                              key=lambda kc: kc[1].interval.start_key):
+            starts, ends, ids = self._index.setdefault(cell.tag, ([], [], []))
+            starts.append(cell.interval.start_key)
+            ends.append(cell.interval.end_key)
+            ids.append(k)
+
     @property
     def breakpoints(self) -> list:
         return sorted({t for (t, _side) in self.provenance})
 
+    def locate(self, iv: Interval, tag: Optional[str]) -> Optional[int]:
+        """Index of the cell with this tag whose interval contains `iv`,
+        by bisection on the exact cell boundaries; None when no cell does."""
+        starts, ends, ids = self._index.get(tag, ((), (), ()))
+        k = bisect_right(starts, iv.start_key) - 1
+        if k >= 0 and iv.end_key <= ends[k]:
+            return ids[k]
+        return None
+
     def cell_of_point(self, p: Point) -> int:
-        for k, cell in enumerate(self.cells):
-            if cell.contains_point(p):
-                return k
-        raise OutOfDomain(f"point {p} not covered by any cell")
+        tag = None
+        if self.tagged:
+            tag = IRRATIONAL_TAG if p.irrational_tag else RATIONAL_TAG
+        k = self.locate(Interval(p.value, p.value), tag)
+        if k is None:
+            raise OutOfDomain(f"point {p} not covered by any cell")
+        return k
 
 
 def refine_markov_partition(spec: SystemSpec, cap: int = 256) -> IntervalPartition:
@@ -97,6 +167,7 @@ def refine_markov_partition(spec: SystemSpec, cap: int = 256) -> IntervalPartiti
             if (t, side) not in cuts:
                 cuts[(t, side)] = "probability"
                 worklist.append((t, side))
+    points = {t for t, _side in cuts}
 
     def usable(t, side) -> bool:
         if t < domain.lo or t > domain.hi:
@@ -119,7 +190,8 @@ def refine_markov_partition(spec: SystemSpec, cap: int = 256) -> IntervalPartiti
             if (x, new_side) not in cuts:
                 cuts[(x, new_side)] = "preimage"
                 worklist.append((x, new_side))
-                if len({pt for pt, _ in cuts}) > cap:
+                points.add(x)
+                if len(points) > cap:
                     raise RefinementBudgetExceeded(
                         f"no finite stable partition found at cap {cap} breakpoints")
 
@@ -210,14 +282,13 @@ def extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> Labeled
             else:
                 image_tag = (cell.tag if (e.map.slope != 0 or cell.tag == RATIONAL_TAG)
                              else RATIONAL_TAG)
-            hits = [t for t, c2 in enumerate(part.cells)
-                    if c2.tag == image_tag and c2.interval.contains_interval(image)]
-            if not hits:
+            hit = part.locate(image, image_tag)
+            if hit is None:
                 raise ImageSplitsCells(
                     f"edge {e.edge_id} image {image} of cell {cell} "
                     "not inside a single cell")
             prob[(s, e.edge_id)] = value
-            target[(s, e.edge_id)] = hits[0]
+            target[(s, e.edge_id)] = hit
     return LabeledChain(n_states=len(part.cells), labels=spec.edge_ids,
                         prob=prob, target=target, reps=reps, cells=list(part.cells))
 
@@ -240,213 +311,171 @@ class SupportSeparation:
 
 
 @dataclass(frozen=True)
-class MeasureEquality:
-    """Transcript of the span iteration proving the two measures equal."""
+class BalancedProduct:
+    """No separating vertex and only balanced terminal components are
+    reachable from the pair, so the likelihood ratio freezes: the measures
+    are equivalent."""
 
-    kind = "measure_equality"
-    basis_words: tuple
-    dimension: int
+    kind = "balanced_product"
 
     def __str__(self) -> str:
-        return (f"measure_equality dim={self.dimension} basis="
-                + ",".join(format_word(w) for w in self.basis_words))
+        return "balanced_product"
 
 
 @dataclass(frozen=True)
-class Distinguisher:
+class UnbalancedProduct:
+    """No separating vertex, but `word` leads the pair to `vertex` of an
+    unbalanced terminal component, where `label` has probabilities p_i and
+    p_j != p_i: the measures are not equivalent."""
+
+    kind = "unbalanced_product"
     word: Word
-    mass_i: Fraction
-    mass_j: Fraction
+    vertex: tuple
+    label: str
+    p_i: Fraction
+    p_j: Fraction
 
     def __str__(self) -> str:
-        return (f"distinguishing word {format_word(self.word)}: "
-                f"{format_rational(self.mass_i)} vs {format_rational(self.mass_j)}")
+        a, b = self.vertex
+        return (f"unbalanced_product word={format_word(self.word)} "
+                f"arc=({a},{b}).{self.label} probabilities "
+                f"{format_rational(self.p_i)} vs {format_rational(self.p_j)}")
 
 
-@dataclass
-class MeasureEqualityResult:
-    equal: bool
-    certificate: Optional[MeasureEquality]
-    witness: Optional[Distinguisher]
+def _backward_layers(preds, sources: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Breadth-first distances to `sources` against the arcs, over the
+    vertices in `allowed`; -1 where no source is reachable."""
+    indptr, rev = preds
+    dist = np.full(allowed.size, -1, dtype=np.int64)
+    frontier = np.flatnonzero(sources)
+    dist[frontier] = 0
+    d = 0
+    while frontier.size:
+        lo, hi = indptr[frontier], indptr[frontier + 1]
+        lens = hi - lo
+        pos = np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+        cand = rev[pos]
+        cand = np.unique(cand[(dist[cand] < 0) & allowed[cand]])
+        d += 1
+        dist[cand] = d
+        frontier = cand
+    return dist
 
 
-@dataclass(frozen=True)
-class CouplingMerge:
-    """Witness that the synchronous product chain couples almost surely:
-    every terminal component of the reachable product graph meets the
-    diagonal, after which the likelihood ratio freezes."""
+class ProductGraph:
+    """The shared-label product graph of a chain and every pair's verdict.
 
-    kind = "coupling_merge"
-    product_states: tuple            # reachable (a, b) pairs
-    terminal_components: tuple       # tuple of tuples of pairs
-    diagonal_witnesses: tuple        # one diagonal pair per terminal component
+    Vertex a * n + b stands for the ordered pair (a, b). All arrays are
+    indexed by vertex; `certificate(i, j)` reads the pair's certificate off
+    them without walking the graph again.
+    """
 
-    def __str__(self) -> str:
-        return (f"coupling_merge reachable={len(self.product_states)} "
-                f"terminal={len(self.terminal_components)} "
-                f"diagonal={list(self.diagonal_witnesses)}")
+    def __init__(self, chain: LabeledChain):
+        n = chain.n_states
+        labels = chain.labels
+        size = n * n
+        self.chain, self.n = chain, n
 
+        # per label: target state (-1 unsupported) and a probability id
+        tgt = np.full((len(labels), n), -1, dtype=np.int64)
+        pid = np.full((len(labels), n), -1, dtype=np.int64)
+        ids: dict = {}
+        for (s, label), p in chain.prob.items():
+            k = labels.index(label)
+            tgt[k, s] = chain.target[(s, label)]
+            pid[k, s] = ids.setdefault((k, p), len(ids))
+        succ = np.full((len(labels), size), -1, dtype=np.int64)
+        separating = np.zeros((len(labels), size), dtype=bool)
+        unequal = np.zeros((len(labels), size), dtype=bool)
+        for k in range(len(labels)):
+            has = tgt[k] >= 0
+            shared = (has[:, None] & has[None, :]).ravel()
+            separating[k] = (has[:, None] != has[None, :]).ravel()
+            succ[k] = np.where(shared, (tgt[k][:, None] * n + tgt[k][None, :]).ravel(), -1)
+            unequal[k] = shared & (pid[k][:, None] != pid[k][None, :]).ravel()
+        self.succ = succ
 
-@dataclass(frozen=True)
-class StatisticalEvidence:
-    kind = "statistical"
-    report: XiReport
+        # predecessor lists (compressed rows, sorted by arc target)
+        label_of, src = np.nonzero(succ >= 0)
+        dst = succ[label_of, src]
+        order = np.argsort(dst, kind="stable")
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=size), out=indptr[1:])
+        preds = (indptr, src[order])
 
-    def __str__(self) -> str:
-        r = self.report
-        return (f"statistical verdict={r.verdict} drift={r.mc_drift:.6g} "
-                f"stderr={r.mc_drift_stderr:.2g} seed={r.seed}")
+        # 1. separation: distances and the first label of lex-least words
+        everywhere = np.ones(size, dtype=bool)
+        self.sep_dist = _backward_layers(preds, separating.any(axis=0), everywhere)
+        self.sep_next = self._next_labels(self.sep_dist, np.argmax(separating, axis=0))
 
+        # 2. terminal components of the separation-free part
+        free = self.sep_dist < 0
+        on = free[src]
+        terminal = graphmod.terminal_components(graphmod.Digraph(
+            vertices=tuple(np.flatnonzero(free).tolist()),
+            arcs=tuple(zip(range(int(on.sum())), src[on].tolist(), dst[on].tolist()))))
+        unbalanced = unequal.any(axis=0)
+        in_unbalanced = np.zeros(size, dtype=bool)
+        for members in terminal:
+            if unbalanced[members].any():
+                in_unbalanced[members] = True
+        # 3. the pairs that reach an unbalanced terminal component, with words
+        # to its unbalanced vertices
+        self.unbal_dist = _backward_layers(preds, in_unbalanced & unbalanced, free)
+        self.unbal_next = self._next_labels(self.unbal_dist, np.argmax(unequal, axis=0))
+        self._walks: dict = {}
 
-def support_separation(chain: LabeledChain, i: int, j: int) -> Optional[SupportSeparation]:
-    """Breadth-first search of the shared-label product graph for a pair of
-    reachable states where exactly one side supports a label. The witness
-    word is an exact singularity certificate."""
-    start = (i, j)
-    seen = {start}
-    queue = [(start, ())]
-    while queue:
-        (a, b), word = queue.pop(0)
-        for label in chain.labels:
-            in_a = (a, label) in chain.prob
-            in_b = (b, label) in chain.prob
-            if in_a != in_b:
-                witness = word + (label,)
-                return SupportSeparation(word=witness,
-                                         mass_i=chain.word_mass(i, witness),
-                                         mass_j=chain.word_mass(j, witness))
-            if in_a and in_b:
-                nxt = (chain.target[(a, label)], chain.target[(b, label)])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, word + (label,)))
-    return None
+    def _next_labels(self, dist: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """The first label of each vertex's lex-least shortest word: the
+        smallest label one step closer; `last` at distance 0."""
+        nxt = np.where(dist == 0, last, -1)
+        for k in reversed(range(self.succ.shape[0])):
+            to = self.succ[k]
+            ok = (dist > 0) & (to >= 0)
+            ok[ok] = dist[to[ok]] == dist[ok] - 1
+            nxt[ok] = k
+        return nxt
 
+    def _walk(self, v: int, key: str):
+        """(word, end vertex, mass from a, mass from b) along `key`'s next
+        labels from v = (a, b), built once per vertex from its successor's."""
+        dist, nxt = (self.sep_dist, self.sep_next) if key == "sep" else \
+            (self.unbal_dist, self.unbal_next)
+        labels, prob, n = self.chain.labels, self.chain.prob, self.n
+        path = []
+        while (key, v) not in self._walks and dist[v] > 0:
+            path.append(v)
+            v = int(self.succ[nxt[v], v])
+        if (key, v) not in self._walks:
+            a, b = divmod(v, n)
+            if key == "sep":
+                label = labels[nxt[v]]
+                self._walks[(key, v)] = ((label,), v, prob.get((a, label), Fraction(0)),
+                                         prob.get((b, label), Fraction(0)))
+            else:
+                self._walks[(key, v)] = ((), v, Fraction(1), Fraction(1))
+        word, end, ma, mb = self._walks[(key, v)]
+        for u in reversed(path):
+            a, b = divmod(u, n)
+            label = labels[nxt[u]]
+            word, ma, mb = (label,) + word, prob[(a, label)] * ma, prob[(b, label)] * mb
+            self._walks[(key, u)] = (word, end, ma, mb)
+        return word, end, ma, mb
 
-def measure_equality(chain: LabeledChain, i: int, j: int) -> MeasureEqualityResult:
-    """Decide exactly whether the two states generate the same measure on
-    label sequences, by iterating prefix-weight vectors until the spanned
-    space stabilizes. A failure yields a shortest distinguishing word."""
-    n = chain.n_states
-    if i == j:
-        return MeasureEqualityResult(True, MeasureEquality((), 0), None)
-
-    def times_label(vec, label):
-        out = [Fraction(0)] * n
-        for s in range(n):
-            if vec[s] == 0:
-                continue
-            p = chain.prob.get((s, label))
-            if p is None:
-                continue
-            out[chain.target[(s, label)]] += vec[s] * p
-        return out
-
-    basis = []  # list of (pivot index, vector)
-
-    def reduce(vec):
-        v = list(vec)
-        for pidx, b in basis:
-            if v[pidx] != 0:
-                factor = v[pidx] / b[pidx]
-                v = [a - factor * c for a, c in zip(v, b)]
-        return v
-
-    start = [Fraction(0)] * n
-    start[i] = Fraction(1)
-    start[j] = start[j] - 1
-    queue = [((), start)]
-    basis_words = []
-    while queue:
-        word, vec = queue.pop(0)
-        total = sum(vec, Fraction(0))
-        if total != 0:
-            return MeasureEqualityResult(
-                False, None,
-                Distinguisher(word=word, mass_i=chain.word_mass(i, word),
-                              mass_j=chain.word_mass(j, word)))
-        residual = reduce(vec)
-        pivot = next((k for k, v in enumerate(residual) if v != 0), None)
-        if pivot is None:
-            continue
-        basis.append((pivot, residual))
-        basis_words.append(word)
-        for label in chain.labels:
-            queue.append((word + (label,), times_label(vec, label)))
-    return MeasureEqualityResult(
-        True, MeasureEquality(tuple(basis_words), len(basis)), None)
-
-
-def _product_graph(chain: LabeledChain, i: int, j: int):
-    """Reachable synchronous product under shared labels; requires equal
-    supports along the way (i.e. no separation certificate exists)."""
-    start = (i, j)
-    seen = {start}
-    order = [start]
-    arcs = []
-    queue = [start]
-    while queue:
-        a, b = queue.pop(0)
-        for label in chain.labels:
-            in_a = (a, label) in chain.prob
-            in_b = (b, label) in chain.prob
-            if in_a != in_b:
-                raise RdsError(
-                    "support separation exists; run support_separation first")
-            if not in_a:
-                continue
-            nxt = (chain.target[(a, label)], chain.target[(b, label)])
-            arcs.append((((a, b), label), (a, b), nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    return order, arcs
-
-
-def coupling_merge_test(chain: LabeledChain, i: int, j: int, *,
-                        spec: Optional[SystemSpec] = None,
-                        xi_params: Optional[XiParams] = None):
-    """Sufficient exact condition for mutual absolute continuity: from
-    (i, j), every terminal component of the shared-label product chain
-    contains a diagonal pair, so the paths couple with probability one
-    under both marginals and the likelihood ratio freezes. When the
-    condition fails, falls back to seeded statistical evidence at the
-    representative points."""
-    states, arcs = _product_graph(chain, i, j)
-    g = graphmod.Digraph(vertices=tuple(states), arcs=tuple(arcs))
-    terms = graphmod.terminal_components(g)
-    witnesses = []
-    all_hit = True
-    for comp in terms:
-        diag = next((pair for pair in comp if pair[0] == pair[1]), None)
-        if diag is None:
-            all_hit = False
-            break
-        witnesses.append(diag)
-    if all_hit:
-        return CouplingMerge(product_states=tuple(states),
-                             terminal_components=tuple(tuple(c) for c in terms),
-                             diagonal_witnesses=tuple(witnesses))
-    if spec is None or xi_params is None:
-        raise RdsError("statistical fallback needs the system and xi parameters")
-    report = xi_estimate(spec, chain.reps[i], chain.reps[j], xi_params)
-    return StatisticalEvidence(report=report)
-
-
-def verify_coupling_certificate(chain: LabeledChain, i: int, j: int,
-                                cert: CouplingMerge) -> bool:
-    """Re-run the witness: rebuilding the product graph must reproduce the
-    reachable set and the diagonal hits."""
-    states, arcs = _product_graph(chain, i, j)
-    if tuple(states) != cert.product_states:
-        return False
-    g = graphmod.Digraph(vertices=tuple(states), arcs=tuple(arcs))
-    terms = graphmod.terminal_components(g)
-    if tuple(tuple(c) for c in terms) != cert.terminal_components:
-        return False
-    return all(any(pair[0] == pair[1] for pair in comp)
-               for comp in cert.terminal_components)
+    def certificate(self, i: int, j: int):
+        """The certificate of the state pair (i, j)."""
+        v = i * self.n + j
+        if self.sep_dist[v] >= 0:
+            word, _end, mass_i, mass_j = self._walk(v, "sep")
+            return SupportSeparation(word=word, mass_i=mass_i, mass_j=mass_j)
+        if self.unbal_dist[v] < 0:
+            return BalancedProduct()
+        word, end, _ma, _mb = self._walk(v, "unbal")
+        a, b = divmod(end, self.n)
+        label = self.chain.labels[self.unbal_next[end]]
+        prob = self.chain.prob
+        return UnbalancedProduct(word=word, vertex=(a, b), label=label,
+                                 p_i=prob[(a, label)], p_j=prob[(b, label)])
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +483,11 @@ def verify_coupling_certificate(chain: LabeledChain, i: int, j: int,
 
 @dataclass
 class PartitionParams:
+    """`seed` is accepted and not read: every pair is decided exactly,
+    with no sampling. It stays because the benchmark workloads pass it."""
+
     refinement_cap: int = 256
     seed: Optional[int] = None
-    xi: XiParams = field(default_factory=XiParams)
 
 
 @dataclass
@@ -491,8 +522,8 @@ class FundamentalPartition:
     state_class: dict               # chain state -> class id
     fms_edges: list                 # of FmsEdge
     certificates: dict              # (i, j) state pair, i < j -> certificate
-    merged_pairs: list              # (i, j, grade) actually merged
-    statistical: bool               # any merge rested on statistical evidence
+    merged_pairs: list              # (i, j, "exact") actually merged
+    statistical: bool               # always False: no merge rests on sampling
 
     def class_count(self) -> int:
         return len(self.classes)
@@ -501,18 +532,16 @@ class FundamentalPartition:
         return [fe for fe in self.fms_edges if fe.class_id == class_id]
 
 
-def _pair_seed(seed: int, i: int, j: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(i, j)).generate_state(1)[0])
-
-
 def fundamental_partition(spec: SystemSpec,
                           params: Optional[PartitionParams] = None) -> FundamentalPartition:
-    """Full pipeline: stable partition, symbolic chain, pairwise
-    certificates with exact-before-statistical precedence, transitive
-    merge, and the reduced labeled system with its label projection."""
+    """Full pipeline: stable partition, symbolic chain, the exact
+    certificate of every pair from one product graph, merge of the
+    equivalent pairs, and the reduced labeled system with its label
+    projection."""
     params = params or PartitionParams()
     part = stable_partition(spec, params.refinement_cap)
     chain = extract_symbolic_chain(spec, part)
+    product = ProductGraph(chain)
 
     certificates = {}
     merged = []
@@ -524,35 +553,15 @@ def fundamental_partition(spec: SystemSpec,
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     for i in range(chain.n_states):
         for j in range(i + 1, chain.n_states):
-            sep = support_separation(chain, i, j)
-            if sep is not None:
-                certificates[(i, j)] = sep
-                continue
-            eq = measure_equality(chain, i, j)
-            if eq.equal:
-                certificates[(i, j)] = eq.certificate
-                merged.append((i, j, "exact"))
-                union(i, j)
-                continue
-            xi_params = params.xi
-            if params.seed is not None:
-                xi_params = XiParams(**{**params.xi.__dict__,
-                                        "seed": _pair_seed(params.seed, i, j)})
-            cert = coupling_merge_test(chain, i, j, spec=spec, xi_params=xi_params)
+            cert = product.certificate(i, j)
             certificates[(i, j)] = cert
-            if isinstance(cert, CouplingMerge):
+            if isinstance(cert, BalancedProduct):
                 merged.append((i, j, "exact"))
-                union(i, j)
-            elif cert.report.verdict == "equivalent":
-                merged.append((i, j, "statistical"))
-                union(i, j)
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
 
     # coherence: no separated pair may end up merged
     for (i, j), cert in certificates.items():
@@ -591,13 +600,26 @@ def fundamental_partition(spec: SystemSpec,
                     f"several classes {sorted(targets)}; evidence incomplete")
             fms_edges.append(FmsEdge(info.class_id, label, targets.pop()))
 
-    rests_on_sampling = (any(grade == "statistical" for _, _, grade in merged)
-                         or any(isinstance(c, StatisticalEvidence)
-                                for c in certificates.values()))
     return FundamentalPartition(
         partition=part, chain=chain, classes=classes, state_class=state_class,
         fms_edges=fms_edges, certificates=certificates, merged_pairs=merged,
-        statistical=rests_on_sampling)
+        statistical=False)
+
+
+def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
+    """The certificate of the cells holding x and y, or None when the
+    system has no stable partition. The path measure from a point equals
+    the chain's measure from its cell, so the certificate decides the pair
+    of points exactly."""
+    try:
+        part = stable_partition(spec)
+        chain = extract_symbolic_chain(spec, part)
+    except (RefinementBudgetExceeded, NotPiecewiseConstant, NonConstantOnCell,
+            ImageSplitsCells):
+        return None
+    i = part.cell_of_point(as_point(x))
+    j = part.cell_of_point(as_point(y))
+    return ProductGraph(chain).certificate(i, j)
 
 
 def classify_point(fp: FundamentalPartition, x: PointLike) -> int:
@@ -672,7 +694,6 @@ def adjoint_discrepancy(spec: SystemSpec, fp: FundamentalPartition,
         if pe == 0:
             continue
         reduced = reduced + pe * f(e.map.apply_point(p))
-    from .model import markov_operator
     return abs(reduced - markov_operator(spec, f, p))
 
 
@@ -683,14 +704,104 @@ def verify_separations(fp: FundamentalPartition, spec: SystemSpec) -> list:
     for (i, j), cert in sorted(fp.certificates.items()):
         if not isinstance(cert, SupportSeparation):
             continue
-        mi = cylinder_measure(spec, fp.chain.reps[i], cert.word)
-        mj = cylinder_measure(spec, fp.chain.reps[j], cert.word)
+        mi = measures.cylinder_measure(spec, fp.chain.reps[i], cert.word)
+        mj = measures.cylinder_measure(spec, fp.chain.reps[j], cert.word)
         if mi != cert.mass_i or mj != cert.mass_j:
             problems.append(f"pair ({i},{j}): recomputed masses "
                             f"{format_rational(mi)},{format_rational(mj)} differ")
         if not ((mi == 0) != (mj == 0)):
             problems.append(f"pair ({i},{j}): word {format_word(cert.word)} "
                             "does not separate")
+    return problems
+
+
+def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -> list:
+    """Re-derive every pair's verdict and re-check its certificate against
+    the chain's tables; returns human-readable failures.
+
+    Independently of `ProductGraph`, builds the product graph with
+    dictionaries, finds the vertices that reach a separating vertex, and
+    takes the terminal components of the rest from `graph.terminal_components`.
+    A separating word must walk shared labels and end on a separating one,
+    with the recorded masses; a balanced pair must reach no unbalanced
+    terminal component; an unbalanced pair's word must lead to the recorded vertex,
+    which must lie in a terminal component and carry the recorded, unequal
+    probabilities. Two states share a class exactly when their pair is
+    balanced.
+    """
+    n, labels, prob, target = chain.n_states, chain.labels, chain.prob, chain.target
+    vertices = [(a, b) for a in range(n) for b in range(n)]
+    arcs = []
+    preds: dict = {}
+    separating = set()
+    for a, b in vertices:
+        for l in labels:
+            in_a, in_b = (a, l) in prob, (b, l) in prob
+            if in_a != in_b:
+                separating.add((a, b))
+            elif in_a:
+                arcs.append(((a, b), (target[(a, l)], target[(b, l)])))
+                preds.setdefault(arcs[-1][1], []).append((a, b))
+
+    def reaching(goal: set, within: set) -> set:
+        seen, todo = set(goal), list(goal)
+        while todo:
+            for u in preds.get(todo.pop(), ()):
+                if u not in seen and u in within:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    def walk(a: int, b: int, word: Word) -> Optional[tuple]:
+        """The vertex `word` leads to from (a, b) on shared labels."""
+        for l in word:
+            if (a, l) not in prob or (b, l) not in prob:
+                return None
+            a, b = target[(a, l)], target[(b, l)]
+        return a, b
+
+    def unbalanced(v) -> bool:
+        return any(prob.get((v[0], l)) != prob.get((v[1], l)) for l in labels)
+
+    free = set(vertices) - reaching(separating, set(vertices))
+    terminal = graphmod.terminal_components(graphmod.Digraph(
+        vertices=tuple(sorted(free)),
+        arcs=tuple((k, u, v) for k, (u, v) in enumerate(arcs) if u in free)))
+    bad_terminal = set().union(*(c for c in terminal if any(map(unbalanced, c))))
+    bad = reaching(bad_terminal, free)
+
+    problems = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cert = fp.certificates.get((i, j))
+            where = f"pair ({i},{j})"
+            if isinstance(cert, SupportSeparation):
+                end = walk(i, j, cert.word[:-1])
+                if (not cert.word or end is None or ((end[0], cert.word[-1]) in prob)
+                        == ((end[1], cert.word[-1]) in prob)):
+                    problems.append(f"{where}: word {format_word(cert.word)} "
+                                    "does not separate")
+                if (cert.mass_i, cert.mass_j) != (chain.word_mass(i, cert.word),
+                                                  chain.word_mass(j, cert.word)):
+                    problems.append(f"{where}: separation masses differ")
+            elif isinstance(cert, BalancedProduct):
+                if (i, j) not in free or (i, j) in bad:
+                    problems.append(f"{where}: not balanced")
+            elif isinstance(cert, UnbalancedProduct):
+                a, b = cert.vertex
+                if (i, j) not in bad:
+                    problems.append(f"{where}: reaches no unbalanced terminal component")
+                elif walk(i, j, cert.word) != (a, b) or (a, b) not in bad_terminal:
+                    problems.append(f"{where}: word {format_word(cert.word)} does not "
+                                    "lead to the recorded terminal vertex")
+                elif ((prob.get((a, cert.label)), prob.get((b, cert.label)))
+                      != (cert.p_i, cert.p_j) or cert.p_i == cert.p_j):
+                    problems.append(f"{where}: arc {cert.label} is not unbalanced")
+            else:
+                problems.append(f"{where}: no certificate")
+                continue
+            if (fp.state_class[i] == fp.state_class[j]) != isinstance(cert, BalancedProduct):
+                problems.append(f"{where}: class membership contradicts the certificate")
     return problems
 
 
@@ -716,9 +827,7 @@ def partition_report(fp: FundamentalPartition) -> str:
     lines.append("reduced edges (class,label) -> target [projection=label]:")
     for fe in fp.fms_edges:
         lines.append(f"  ({fe.class_id},{fe.label}) -> {fe.target}")
-    grades = [f"({i},{j}) {grade}" for i, j, grade in fp.merged_pairs]
-    lines.append("merges: " + ("; ".join(grades) if grades else "(none)"))
-    lines.append("evidence grade: "
-                 + ("statistical merges present" if fp.statistical
-                    else "all certificates exact"))
+    merges = [f"({i},{j}) {grade}" for i, j, grade in fp.merged_pairs]
+    lines.append("merges: " + ("; ".join(merges) if merges else "(none)"))
+    lines.append("evidence grade: all certificates exact")
     return "\n".join(lines) + "\n"

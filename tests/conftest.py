@@ -53,6 +53,26 @@ def random_system(rng: random.Random) -> SystemSpec:
     return SystemSpec(domain=UNIT, edges=tuple(edges))
 
 
+def triadic_system(m: int, rng: random.Random, zeros: bool = False) -> SystemSpec:
+    """Maps x/3 + e/3 (e = 0, 1, 2) on [0,1]; probabilities constant on the
+    cells cut at (j/3^m, +1), from seeded weights 1..4 per edge, or 0..3
+    when `zeros`. The stable partition has 3^m + 1 cells."""
+    n = 3 ** m
+    cells = [Interval(Fraction(0), Fraction(1, n))] + [
+        Interval(Fraction(j, n), Fraction(j + 1, n), False, True) for j in range(1, n)]
+    probs = []
+    for _cell in cells:
+        while True:
+            w = [rng.randint(0, 3) if zeros else rng.randint(1, 4) for _ in range(3)]
+            if sum(w) > 0:
+                break
+        probs.append([Fraction(v, sum(w)) for v in w])
+    return SystemSpec(domain=UNIT, edges=tuple(
+        Edge(str(e), AffineMap(Fraction(1, 3), Fraction(e, 3)),
+             PiecewiseConstant(tuple((c, p[e]) for c, p in zip(cells, probs))))
+        for e in range(3)))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -18,8 +18,8 @@ from rdsys.dynamics import (Polynomial, class_frequencies, contraction_estimate,
 from rdsys.graph import exact_first_moment, stationary_distribution
 from rdsys.measures import XiParams, martingale_discrepancy, xi_estimate
 from rdsys.model import Point
-from rdsys.partition import (CouplingMerge, PartitionParams, StatisticalEvidence,
-                             SupportSeparation, adjoint_discrepancy,
+from rdsys.partition import (BalancedProduct, PartitionParams, SupportSeparation,
+                             UnbalancedProduct, adjoint_discrepancy,
                              fundamental_partition, lift_check, stable_partition)
 
 F = Fraction
@@ -107,7 +107,7 @@ def test_criterion_3_positive_step_single_class():
     elapsed = time.perf_counter() - t0
     cert = fp.certificates[(0, 1)]
     ok = (fp.class_count() == 1
-          and isinstance(cert, CouplingMerge)
+          and cert == BalancedProduct()
           and not fp.statistical
           and elapsed < 5.0)
     report(3, ok, f"classes={fp.class_count()} certificate={type(cert).__name__} "
@@ -122,10 +122,12 @@ def test_criterion_4_split_statistical_drift():
                       systems.IRRATIONAL_SAMPLE, params)
     target = 0.25 * math.log(F(1, 4) / F(1, 3)) + 0.75 * math.log(F(3, 4) / F(2, 3))
     ok = (fp.class_count() == 2
-          and isinstance(cert, StatisticalEvidence)
+          and isinstance(cert, UnbalancedProduct)
+          and not fp.statistical
           and rep.verdict == "singular_statistical"
           and abs(rep.mc_drift - target) <= 0.2 * target)
-    report(4, ok, f"classes={fp.class_count()} verdict={rep.verdict} "
+    report(4, ok, f"classes={fp.class_count()} certificate={type(cert).__name__} "
+                  f"verdict={rep.verdict} "
                   f"drift={rep.mc_drift:.5f} target={target:.5f} "
                   f"(tolerance for this criterion: 20%)")
 

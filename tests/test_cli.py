@@ -63,6 +63,14 @@ class TestXi:
         assert "verdict: singular_certified" in out
         assert "exact separating word" in out
 
+    def test_exact_equivalence_grade(self, capsys):
+        path = str(systems.bundled_path("positive_step"))
+        assert run(["xi", path, "--x", "1/4", "--y", "3/4", "--seed", "5",
+                    "--n-exact", "4", "--n-mc", "64", "--samples", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: equivalent" in out
+        assert "evidence grade: exact certificate" in out
+
     def test_seed_required(self, step_file):
         with pytest.raises(SystemExit):
             run(["xi", step_file, "--x", "1", "--y", "1/4"])

@@ -13,7 +13,6 @@ from rdsys.dynamics import (DegenerateCellOnly, EmptySamples, Indicator,
                             simulate, stationary_cloud, w1_distance)
 from rdsys.model import AffineMap, Edge, Interval, PiecewiseConstant, Point, SystemSpec
 from rdsys.partition import PartitionParams, fundamental_partition, stable_partition
-from rdsys.measures import XiParams
 
 F = Fraction
 STEP = systems.step_system()
@@ -22,7 +21,7 @@ SPLIT = systems.rational_split_system()
 
 
 def small_params(seed=99):
-    return PartitionParams(seed=seed, xi=XiParams(n_exact=5, n_mc=300, num_samples=300))
+    return PartitionParams(seed=seed)
 
 
 class TestSimulate:

@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_system
 from rdsys import systems
 from rdsys.graph import stationary_from_matrix
 from rdsys.measures import (DegenerateSampling, XiParams, cylinder_measure,
                             enumerate_cylinders, xi_estimate)
-from rdsys.model import (AffineMap, Edge, Interval, PiecewiseConstant,
-                         SystemSpec)
+from rdsys.model import (AffineMap, Edge, Interval, PiecewiseConstant, Point,
+                         RefinementBudgetExceeded, SystemSpec)
 from rdsys.dynamics import simulate
+from rdsys.partition import (BalancedProduct, PartitionParams, ProductGraph,
+                             fundamental_partition)
 
 F = Fraction
 STEP = systems.step_system()
@@ -35,20 +38,59 @@ def test_periodic_130_state_chain_exact():
     assert all(res.pi[v] == F(1, 258) for v in range(1, n))
 
 
-def test_xi_persistent_tails_do_not_certify():
-    # the pair is merged by the exact coupling certificate; large
-    # likelihood ratios at finite depth are no witness of singularity
+def fault_b_system():
+    """Maps x/3, x/3 + 1/3; p0 = 1/10000 on [0,1/2], 9999/10000 above."""
     low = Interval(F(0), F(1, 2))
     high = Interval(F(1, 2), F(1), False, True)
     p0 = {low: F(1, 10000), high: F(9999, 10000)}
     probs = (p0, {iv: 1 - p for iv, p in p0.items()})
-    spec = SystemSpec(domain=Interval(F(0), F(1)), edges=tuple(
+    return SystemSpec(domain=Interval(F(0), F(1)), edges=tuple(
         Edge(str(e), AffineMap(F(1, 3), F(e, 3)), PiecewiseConstant(tuple(probs[e].items())))
         for e in range(2)))
-    rep = xi_estimate(spec, F(1, 4), F(3, 4),
+
+
+def test_xi_persistent_tails_do_not_certify():
+    # the pair is merged by the exact balanced-product certificate; large
+    # likelihood ratios at finite depth are no witness of singularity
+    rep = xi_estimate(fault_b_system(), F(1, 4), F(3, 4),
                       XiParams(seed=7, num_samples=200, n_mc=200))
     assert rep.infinity_witness is None
     assert rep.verdict != "singular_certified"
+
+
+def test_xi_fault_b_takes_exact_verdict():
+    # every sample has the same per-step log-ratio here, so the drift test
+    # alone answers singular_statistical; the cells' exact verdict comes first
+    rep = xi_estimate(fault_b_system(), F(1, 4), F(3, 4),
+                      XiParams(seed=7, num_samples=200, n_mc=200))
+    assert rep.pair_certificate == BalancedProduct()
+    assert rep.verdict == "equivalent"
+    assert rep.exact
+
+
+def test_xi_agrees_with_exact_partition(rng):
+    small = XiParams(n_exact=4, n_mc=32, num_samples=32, seed=3)
+    checked = 0
+    for _ in range(30):
+        spec = random_system(rng)
+        try:
+            fp = fundamental_partition(spec, PartitionParams(refinement_cap=24))
+        except RefinementBudgetExceeded:
+            continue
+        x, y = F(rng.randint(0, 12), 12), F(rng.randint(0, 12), 12)
+        i, j = (fp.partition.cell_of_point(Point(v)) for v in (x, y))
+        cert = ProductGraph(fp.chain).certificate(i, j)
+        rep = xi_estimate(spec, x, y, small)
+        expected = {"support_separation": "singular_certified",
+                    "balanced_product": "equivalent",
+                    "unbalanced_product": "singular_statistical"}[cert.kind]
+        assert rep.verdict == expected
+        if expected == "singular_certified":
+            masses = (cylinder_measure(spec, x, rep.infinity_witness),
+                      cylinder_measure(spec, y, rep.infinity_witness))
+            assert (masses[0] == 0) != (masses[1] == 0)
+        checked += 1
+    assert checked >= 20
 
 
 def test_degenerate_sampling_detected():

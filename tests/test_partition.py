@@ -1,22 +1,25 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from conftest import random_system, triadic_system
+from rdsys import graph as graphmod
 from rdsys import systems
-from rdsys.measures import XiParams, cylinder_measure
-from rdsys.model import (AffineMap, Edge, InconsistentMerge, Interval,
-                         NotPiecewiseConstant, PiecewiseConstant, Point,
+from rdsys.measures import cylinder_measure
+from rdsys.model import (AffineMap, Edge, Interval, NotPiecewiseConstant,
+                         OutOfDomain, PiecewiseConstant, Point,
                          RefinementBudgetExceeded, SystemSpec)
-from rdsys.partition import (Cell, CouplingMerge, LabeledChain,
-                             PartitionParams, StatisticalEvidence,
-                             SupportSeparation, adjoint_discrepancy,
-                             classify_point, coupling_merge_test,
-                             extract_symbolic_chain, fundamental_partition,
-                             lift_check, measure_equality, partition_report,
-                             refine_markov_partition, stable_partition,
-                             support_separation, tagged_partition,
-                             verify_coupling_certificate, verify_separations)
+from rdsys.partition import (BalancedProduct, Cell, LabeledChain,
+                             PartitionParams, ProductGraph, SupportSeparation,
+                             UnbalancedProduct, adjoint_discrepancy,
+                             classify_point, extract_symbolic_chain,
+                             fundamental_partition, lift_check,
+                             partition_report, refine_markov_partition,
+                             stable_partition, tagged_partition,
+                             verify_product_certificates, verify_separations)
 
 F = Fraction
 
@@ -25,11 +28,39 @@ STEP27 = systems.step_system(F(1, 27))
 POSITIVE = systems.positive_step_system()
 SPLIT = systems.rational_split_system()
 
-SMALL_XI = XiParams(n_exact=5, n_mc=300, num_samples=300, seed=99)
-
 
 def small_params(seed=99):
-    return PartitionParams(seed=seed, xi=XiParams(n_exact=5, n_mc=300, num_samples=300))
+    return PartitionParams(seed=seed)
+
+
+def support_separation(chain, i, j):
+    cert = ProductGraph(chain).certificate(i, j)
+    return cert if isinstance(cert, SupportSeparation) else None
+
+
+def self_loop_chain(rows):
+    """A chain whose states each loop back to themselves on every label;
+    rows[s] maps label -> probability."""
+    labels = tuple(sorted({l for row in rows for l in row}))
+    prob = {(s, l): F(p) for s, row in enumerate(rows) for l, p in row.items()}
+    return LabeledChain(
+        n_states=len(rows), labels=labels, prob=prob,
+        target={key: key[0] for key in prob},
+        reps={s: Point(F(s, len(rows))) for s in range(len(rows))},
+        cells=[Cell(Interval(F(s, len(rows)), F(s, len(rows)))) for s in range(len(rows))])
+
+
+def chain_partition(chain):
+    """The merged classes and certificates of a hand-made chain, in the
+    shape `verify_product_certificates` reads."""
+    product = ProductGraph(chain)
+    certs = {(i, j): product.certificate(i, j)
+             for i in range(chain.n_states) for j in range(i + 1, chain.n_states)}
+    state_class = {}
+    for s in range(chain.n_states):
+        state_class[s] = next((state_class[r] for r in range(s)
+                               if isinstance(certs[(r, s)], BalancedProduct)), s)
+    return SimpleNamespace(certificates=certs, state_class=state_class)
 
 
 class TestRefinement:
@@ -186,16 +217,17 @@ class TestSupportSeparation:
 
 
 class TestMeasureEquality:
+    """Equal path measures give balanced product certificates."""
+
     def test_same_state(self):
         chain = extract_symbolic_chain(POSITIVE, refine_markov_partition(POSITIVE))
-        assert measure_equality(chain, 0, 0).equal
+        assert ProductGraph(chain).certificate(0, 0) == BalancedProduct()
 
     def test_positive_step_distinguished(self):
+        # the measures differ on the word 0, yet the pair is equivalent
         chain = extract_symbolic_chain(POSITIVE, refine_markov_partition(POSITIVE))
-        res = measure_equality(chain, 0, 1)
-        assert not res.equal
-        assert res.witness.word == ("0",)
-        assert (res.witness.mass_i, res.witness.mass_j) == (F(1, 4), F(1, 3))
+        assert (chain.word_mass(0, ("0",)), chain.word_mass(1, ("0",))) == (F(1, 4), F(1, 3))
+        assert isinstance(ProductGraph(chain).certificate(0, 1), BalancedProduct)
 
     def test_duplicated_state_equal(self):
         chain = LabeledChain(
@@ -205,35 +237,303 @@ class TestMeasureEquality:
             target={(0, "a"): 0, (0, "b"): 1, (1, "a"): 0, (1, "b"): 1},
             reps={0: Point(F(0)), 1: Point(F(1))},
             cells=[Cell(Interval(F(0), F(1, 2))), Cell(Interval(F(1, 2), F(1)))])
-        res = measure_equality(chain, 0, 1)
-        assert res.equal
-        assert res.certificate.dimension <= 2
+        assert ProductGraph(chain).certificate(0, 1) == BalancedProduct()
 
     def test_same_class_states_equal_in_step(self):
-        # two artificial copies of the (1/3,1] row generate equal measures
         chain = extract_symbolic_chain(STEP, refine_markov_partition(STEP))
-        res = measure_equality(chain, 3, 3)
-        assert res.equal
+        assert ProductGraph(chain).certificate(3, 3) == BalancedProduct()
 
 
 class TestCoupling:
+    """Diagonal coupling: the balanced case whose reachable terminal
+    components all lie on the diagonal."""
+
     def test_positive_step_couples(self):
         chain = extract_symbolic_chain(POSITIVE, refine_markov_partition(POSITIVE))
-        cert = coupling_merge_test(chain, 0, 1, spec=POSITIVE, xi_params=SMALL_XI)
-        assert isinstance(cert, CouplingMerge)
-        assert (0, 0) in cert.diagonal_witnesses
-        assert verify_coupling_certificate(chain, 0, 1, cert)
+        assert ProductGraph(chain).certificate(0, 1) == BalancedProduct()
 
     def test_diagonal_start_trivial(self):
         chain = extract_symbolic_chain(POSITIVE, refine_markov_partition(POSITIVE))
-        cert = coupling_merge_test(chain, 1, 1, spec=POSITIVE, xi_params=SMALL_XI)
-        assert isinstance(cert, CouplingMerge)
+        assert ProductGraph(chain).certificate(1, 1) == BalancedProduct()
 
-    def test_split_falls_to_statistics(self):
+
+class TestProductCertificates:
+    def test_split_unbalanced(self):
         chain = extract_symbolic_chain(SPLIT, tagged_partition(SPLIT))
-        cert = coupling_merge_test(chain, 0, 1, spec=SPLIT, xi_params=SMALL_XI)
-        assert isinstance(cert, StatisticalEvidence)
-        assert cert.report.verdict == "singular_statistical"
+        cert = ProductGraph(chain).certificate(0, 1)
+        assert cert == UnbalancedProduct(word=(), vertex=(0, 1), label="0",
+                                         p_i=F(1, 4), p_j=F(1, 3))
+        assert str(cert) == "unbalanced_product word=- arc=(0,1).0 probabilities 1/4 vs 1/3"
+
+    def test_transient_imbalance_is_balanced(self):
+        # the start pair has unequal probabilities but is transient; the
+        # terminal pair (2, 3) never meets the diagonal and is balanced
+        chain = LabeledChain(
+            n_states=4, labels=("a", "b"),
+            prob={(0, "a"): F(1, 2), (0, "b"): F(1, 2), (1, "a"): F(1, 3),
+                  (1, "b"): F(2, 3), (2, "a"): F(1, 5), (2, "b"): F(4, 5),
+                  (3, "a"): F(1, 5), (3, "b"): F(4, 5)},
+            target={(0, "a"): 2, (0, "b"): 0, (1, "a"): 3, (1, "b"): 1,
+                    (2, "a"): 2, (2, "b"): 2, (3, "a"): 3, (3, "b"): 3},
+            reps={s: Point(F(s, 4)) for s in range(4)},
+            cells=[Cell(Interval(F(s, 4), F(s, 4))) for s in range(4)])
+        product = ProductGraph(chain)
+        assert product.certificate(0, 1) == BalancedProduct()
+        assert product.certificate(2, 3) == BalancedProduct()
+
+    def test_unbalanced_word_leads_into_component(self):
+        # state 0 and 1 share label c into the self-looping states 2 and 3,
+        # which give label b different probabilities
+        chain = LabeledChain(
+            n_states=4, labels=("a", "b", "c"),
+            prob={(0, "c"): F(1), (1, "c"): F(1),
+                  (2, "a"): F(1, 4), (2, "b"): F(1, 4), (2, "c"): F(1, 2),
+                  (3, "a"): F(1, 4), (3, "b"): F(1, 2), (3, "c"): F(1, 4)},
+            target={(0, "c"): 2, (1, "c"): 3, (2, "a"): 2, (2, "b"): 2,
+                    (2, "c"): 2, (3, "a"): 3, (3, "b"): 3, (3, "c"): 3},
+            reps={s: Point(F(s, 4)) for s in range(4)},
+            cells=[Cell(Interval(F(s, 4), F(s, 4))) for s in range(4)])
+        cert = ProductGraph(chain).certificate(0, 1)
+        assert cert == UnbalancedProduct(word=("c",), vertex=(2, 3), label="b",
+                                         p_i=F(1, 4), p_j=F(1, 2))
+        fp = chain_partition(chain)
+        assert verify_product_certificates(chain, fp) == []
+        fp.certificates[(0, 1)] = replace(cert, word=())
+        assert verify_product_certificates(chain, fp) != []
+
+    def test_verify_accepts_bundled(self):
+        for name, build in systems.BUILDERS.items():
+            fp = fundamental_partition(build())
+            assert verify_product_certificates(fp.chain, fp) == [], name
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_verify_accepts_triadic(self, zeros):
+        fp = fundamental_partition(triadic_system(3, random.Random(1), zeros))
+        assert fp.chain.n_states == 28
+        assert verify_product_certificates(fp.chain, fp) == []
+
+    def test_verify_rejects_flipped_balance(self):
+        fp = fundamental_partition(POSITIVE)
+        fp.certificates[(0, 1)] = UnbalancedProduct(
+            word=(), vertex=(0, 1), label="0", p_i=F(1, 4), p_j=F(1, 3))
+        assert verify_product_certificates(fp.chain, fp) != []
+        fp = fundamental_partition(SPLIT)
+        fp.certificates[(0, 1)] = BalancedProduct()
+        assert verify_product_certificates(fp.chain, fp) != []
+
+    def test_verify_rejects_balanced_arc(self):
+        # label a is balanced in the unbalanced terminal component {(0, 1)}
+        chain = self_loop_chain([{"a": F(1, 4), "b": F(1, 4), "c": F(1, 2)},
+                                 {"a": F(1, 4), "b": F(1, 2), "c": F(1, 4)}])
+        fp = chain_partition(chain)
+        cert = fp.certificates[(0, 1)]
+        assert cert.label == "b"
+        assert verify_product_certificates(chain, fp) == []
+        fp.certificates[(0, 1)] = replace(cert, label="a", p_j=F(1, 4))
+        assert verify_product_certificates(chain, fp) != []
+        fp.certificates[(0, 1)] = replace(cert, label="a")
+        assert verify_product_certificates(chain, fp) != []
+
+    def test_verify_rejects_truncated_word(self):
+        fp = fundamental_partition(STEP)
+        cert = fp.certificates[(0, 1)]
+        assert cert.word == ("1", "0", "0")
+        fp.certificates[(0, 1)] = replace(cert, word=cert.word[:-1])
+        assert verify_product_certificates(fp.chain, fp) != []
+
+    def test_triadic_244_states_one_exact_class(self):
+        # after m shared steps of the maps x/3 + e/3 both coordinates lie in
+        # one cell of width 3^-m, so every pair couples on the diagonal
+        fp = fundamental_partition(triadic_system(5, random.Random(1)))
+        assert fp.chain.n_states == 244
+        assert fp.class_count() == 1
+        assert not fp.statistical
+        assert set(fp.certificates.values()) == {BalancedProduct()}
+        assert len(fp.merged_pairs) == 244 * 243 // 2
+
+
+# ---------------------------------------------------------------------------
+# the per-pair engines that `ProductGraph` replaced, kept as a test oracle:
+# a forward breadth-first search for a separating word, the span iteration
+# deciding equality of the two measures, and the diagonal-coupling test on
+# each pair's own product graph. The oracle stops where the old engine fell
+# back to seeded sampling.
+
+def oracle_support_separation(chain, i, j):
+    start = (i, j)
+    seen = {start}
+    queue = [(start, ())]
+    while queue:
+        (a, b), word = queue.pop(0)
+        for label in chain.labels:
+            in_a = (a, label) in chain.prob
+            in_b = (b, label) in chain.prob
+            if in_a != in_b:
+                witness = word + (label,)
+                return SupportSeparation(word=witness,
+                                         mass_i=chain.word_mass(i, witness),
+                                         mass_j=chain.word_mass(j, witness))
+            if in_a and in_b:
+                nxt = (chain.target[(a, label)], chain.target[(b, label)])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append((nxt, word + (label,)))
+    return None
+
+
+def oracle_measure_equality(chain, i, j) -> bool:
+    n = chain.n_states
+    if i == j:
+        return True
+
+    def times_label(vec, label):
+        out = [F(0)] * n
+        for s in range(n):
+            if vec[s] == 0:
+                continue
+            p = chain.prob.get((s, label))
+            if p is None:
+                continue
+            out[chain.target[(s, label)]] += vec[s] * p
+        return out
+
+    basis = []  # list of (pivot index, vector)
+
+    def reduce(vec):
+        v = list(vec)
+        for pidx, b in basis:
+            if v[pidx] != 0:
+                factor = v[pidx] / b[pidx]
+                v = [a - factor * c for a, c in zip(v, b)]
+        return v
+
+    start = [F(0)] * n
+    start[i] = F(1)
+    start[j] = start[j] - 1
+    queue = [((), start)]
+    while queue:
+        word, vec = queue.pop(0)
+        if sum(vec, F(0)) != 0:
+            return False
+        residual = reduce(vec)
+        pivot = next((k for k, v in enumerate(residual) if v != 0), None)
+        if pivot is None:
+            continue
+        basis.append((pivot, residual))
+        for label in chain.labels:
+            queue.append((word + (label,), times_label(vec, label)))
+    return True
+
+
+def oracle_product_graph(chain, i, j):
+    start = (i, j)
+    seen = {start}
+    order = [start]
+    arcs = []
+    queue = [start]
+    while queue:
+        a, b = queue.pop(0)
+        for label in chain.labels:
+            in_a = (a, label) in chain.prob
+            in_b = (b, label) in chain.prob
+            assert in_a == in_b, "support separation exists"
+            if not in_a:
+                continue
+            nxt = (chain.target[(a, label)], chain.target[(b, label)])
+            arcs.append((((a, b), label), (a, b), nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    return order, arcs
+
+
+def oracle_coupled(chain, i, j) -> bool:
+    states, arcs = oracle_product_graph(chain, i, j)
+    g = graphmod.Digraph(vertices=tuple(states), arcs=tuple(arcs))
+    return all(any(pair[0] == pair[1] for pair in comp)
+               for comp in graphmod.terminal_components(g))
+
+
+def oracle_verdicts(chain) -> dict:
+    """(i, j) -> a SupportSeparation, "equal", "coupled", or None where the
+    old engine would have sampled."""
+    out = {}
+    for i in range(chain.n_states):
+        for j in range(i + 1, chain.n_states):
+            sep = oracle_support_separation(chain, i, j)
+            if sep is not None:
+                out[(i, j)] = sep
+            elif oracle_measure_equality(chain, i, j):
+                out[(i, j)] = "equal"
+            elif oracle_coupled(chain, i, j):
+                out[(i, j)] = "coupled"
+            else:
+                out[(i, j)] = None
+    return out
+
+
+def oracle_classes(chain, verdicts) -> set:
+    parent = list(range(chain.n_states))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for (i, j), verdict in verdicts.items():
+        if verdict in ("equal", "coupled"):
+            parent[max(find(i), find(j))] = min(find(i), find(j))
+    groups: dict = {}
+    for s in range(chain.n_states):
+        groups.setdefault(find(s), set()).add(s)
+    return {frozenset(g) for g in groups.values()}
+
+
+def compare_with_oracle(fp) -> int:
+    """Assert agreement with the per-pair engines; returns the number of
+    pairs the oracle leaves undecided."""
+    verdicts = oracle_verdicts(fp.chain)
+    undecided = 0
+    for pair, verdict in verdicts.items():
+        cert = fp.certificates[pair]
+        if isinstance(verdict, SupportSeparation):
+            assert cert == verdict, pair
+        elif verdict is None:
+            undecided += 1
+            assert not isinstance(cert, SupportSeparation), pair
+        else:
+            assert cert == BalancedProduct(), pair
+    classes = {frozenset(info.states) for info in fp.classes}
+    if undecided == 0:
+        assert classes == oracle_classes(fp.chain, verdicts)
+    assert verify_product_certificates(fp.chain, fp) == []
+    return undecided
+
+
+class TestDifferential:
+    # the oracle costs O(n^4) Fraction work per system, so random systems
+    # with more than 24 breakpoints (up to 73 states here) are skipped
+    def test_random_systems(self):
+        rng = random.Random(0xD1FF)
+        compared = undecided = 0
+        for _ in range(200):
+            spec = random_system(rng)
+            try:
+                fp = fundamental_partition(spec, PartitionParams(refinement_cap=24))
+            except RefinementBudgetExceeded:
+                continue
+            compared += 1
+            undecided += compare_with_oracle(fp)
+        assert compared >= 150
+        # pairs only the exact engine decides: unbalanced ones, and one
+        # balanced pair whose terminal component stays off the diagonal
+        assert undecided > 0
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_triadic_m3(self, zeros):
+        fp = fundamental_partition(triadic_system(3, random.Random(1), zeros))
+        assert compare_with_oracle(fp) == 0
 
 
 class TestFundamentalPartition:
@@ -247,14 +547,14 @@ class TestFundamentalPartition:
     def test_positive_step_single_class(self):
         fp = fundamental_partition(POSITIVE, small_params())
         assert fp.class_count() == 1
-        assert isinstance(fp.certificates[(0, 1)], CouplingMerge)
+        assert fp.certificates[(0, 1)] == BalancedProduct()
         assert fp.merged_pairs == [(0, 1, "exact")]
 
-    def test_split_two_classes_statistical(self):
+    def test_split_two_classes_exact(self):
         fp = fundamental_partition(SPLIT, small_params())
         assert fp.class_count() == 2
-        assert fp.statistical
-        assert isinstance(fp.certificates[(0, 1)], StatisticalEvidence)
+        assert not fp.statistical
+        assert isinstance(fp.certificates[(0, 1)], UnbalancedProduct)
 
     def test_certificate_coherence(self):
         for spec in (STEP, STEP27, POSITIVE):
@@ -278,9 +578,9 @@ class TestFundamentalPartition:
         b = partition_report(fundamental_partition(SPLIT, small_params()))
         assert a == b
 
-    def test_statistical_fallback_requires_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            fundamental_partition(SPLIT, PartitionParams())
+    def test_partition_needs_no_seed(self):
+        a = partition_report(fundamental_partition(SPLIT, PartitionParams()))
+        assert a == partition_report(fundamental_partition(SPLIT, small_params()))
 
 
 class TestClassify:
@@ -291,6 +591,21 @@ class TestClassify:
     def test_third_belongs_middle(self):
         fp = fundamental_partition(STEP, small_params())
         assert fp.classes[classify_point(fp, F(1, 3))].describe() == "(1/9,1/3]"
+
+    def test_bisect_lookup_matches_scan(self):
+        part = refine_markov_partition(STEP27)
+        for k in range(55):
+            p = Point(F(k, 54))
+            assert part.cell_of_point(p) == next(
+                s for s, c in enumerate(part.cells) if c.contains_point(p))
+        with pytest.raises(OutOfDomain):
+            part.cell_of_point(Point(F(2)))
+
+    def test_tagged_lookup(self):
+        part = tagged_partition(SPLIT)
+        assert part.cell_of_point(Point(F(1, 3))) == 0
+        assert part.cell_of_point(Point(F(1, 3), True)) == 1
+        assert part.locate(Interval(F(1, 4), F(1, 2)), "irrational") == 1
 
     def test_irrational_tag_classified(self):
         fp = fundamental_partition(SPLIT, small_params())
