@@ -44,11 +44,14 @@ def runs(name: str, path: str):
     """(run name, argv without -o) for every subcommand on one system."""
     yield "validate", ["validate", path, "--json"]
     yield "cylinders", ["cylinders", path, "--x", "1/3", "--depth", "6", "--json"]
+    yield "cylinders_zero", ["cylinders", path, "--x", "1/3", "--depth", "6",
+                             "--include-zero", "--json"]
     for k, (x, y) in enumerate(XI_PAIRS[name]):
         yield f"xi{k}", ["xi", path, "--x", x, "--y", y, "--seed", SEED,
                          "--samples", "300", "--n-mc", "300", "--n-exact", "6",
                          "--json"]
     yield "partition", ["partition", path, "--seed", SEED, "--json"]
+    yield "partition_lift10", ["partition", path, "--lift-depth", "10", "--json"]
     yield "graph", ["graph", path, "--seed", SEED, "--json"]
     yield "simulate", ["simulate", path, "--x0", "1/3", "--steps", "2000",
                        "--seed", SEED, "--f", "poly:0,1", "--json"]

@@ -10,6 +10,7 @@ identical inputs, seed and caps produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, graph as graphmod, measures, partition as partmod
-from .model import (BudgetExceeded, OutOfDomain, RdsError, SpecFileError,
-                    as_point, format_rational, format_word, markov_operator,
+from .model import (BudgetExceeded, OutOfDomain, Point, RdsError, SpecFileError,
+                    as_point, format_rational, format_word, parse_rational,
                     validate_system)
 from .sysfile import load_system
 
@@ -72,6 +73,14 @@ def _jsonable(value):
 UNUSED_SEED = "accepted and ignored: every verdict is exact, nothing is sampled"
 
 
+def _depth(text: str) -> int:
+    """A non-negative int, for the depth options."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"depth must be >= 0, got {value}")
+    return value
+
+
 def _add_common(sp, *, seeded: bool) -> None:
     sp.add_argument("system", help="system specification file")
     sp.add_argument("-o", "--outdir", default=None, help="directory for output files")
@@ -93,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cylinders", help="exact depth-n cylinder masses")
     _add_common(sp, seeded=False)
     sp.add_argument("--x", required=True, help="start point (p/q or irr:p/q)")
-    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--depth", type=_depth, required=True)
     sp.add_argument("--include-zero", action="store_true")
     sp.add_argument("--word-budget", type=int, default=measures.DEFAULT_WORD_BUDGET)
 
@@ -101,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seeded=True)
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
-    sp.add_argument("--n-exact", type=int, default=10)
+    sp.add_argument("--n-exact", type=_depth, default=10)
     sp.add_argument("--n-mc", type=int, default=2000)
     sp.add_argument("--samples", type=int, default=4000)
     sp.add_argument("--drift-z", type=float, default=4.0)
@@ -111,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seeded=False)
     sp.add_argument("--seed", type=int, help=UNUSED_SEED)
     sp.add_argument("--refine-cap", type=int, default=256)
-    sp.add_argument("--lift-depth", type=int, default=6)
+    sp.add_argument("--lift-depth", type=_depth, default=6)
 
     sp = sub.add_parser("graph", help="digraph flags, stationary weights, moments")
     _add_common(sp, seeded=False)
@@ -193,7 +202,6 @@ def _cmd_xi(args, spec, out: _Output) -> int:
 
 
 def _spot_points(spec, count: int):
-    from .model import Point
     lo, hi = spec.domain.lo, spec.domain.hi
     pts = [Point(lo + (hi - lo) * Fraction(k + 1, count + 1)) for k in range(count)]
     if spec.has_rationality_edges:
@@ -327,7 +335,6 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
                 f"{format_rational(freqs[info.class_id])}")
     tree["class_frequencies"] = {cid: format_rational(v) for cid, v in freqs.items()}
 
-    import io
     buf = io.StringIO()
     trace.write_csv(buf)
     out.file("trace.csv", buf.getvalue())
@@ -338,7 +345,6 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
 def _cmd_rate(args, spec, out: _Output) -> int:
     bound = None
     if args.b is not None:
-        from .model import parse_rational
         bound = float(max(Fraction(1, 3), parse_rational(args.b))) ** 0.5
     ref = dynamics.stationary_cloud(spec, args.cloud_size, args.burn, args.seed + 1)
     start = np.full(args.cloud_size, float(as_point(args.start).value))

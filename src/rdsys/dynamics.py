@@ -11,6 +11,7 @@ rational data so averages over exact prefixes stay exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -119,8 +120,6 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
     spec.require_in_domain(start)
     tables = sampling.EvalTables(spec)
     rng = sampling.substream(seed, 0)
-
-    from bisect import bisect_right
 
     x = start.value
     tag = start.irrational_tag

@@ -10,8 +10,9 @@ the two path measures share null sets.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,10 +25,56 @@ from .model import (BudgetExceeded, DegenerateSampling, Point, PointLike,
 DEFAULT_WORD_BUDGET = 1 << 20
 
 
-def _check_budget(spec: SystemSpec, depth: int, budget: int) -> None:
+# ---------------------------------------------------------------------------
+# the code-space walk
+
+def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: int,
+               budget: int):
+    """Pre-order walk, in `spec.edges` order, over the words of length at
+    most `depth` with positive x-mass.
+
+    Yields (word, x_point, y_point, px, py): the points the word leads x
+    and y to and its exact cylinder masses from each. With `y=None` only x
+    is followed and y_point and py are None. On an edge of zero
+    y-probability y's point stays put; a word with zero y-mass is yielded
+    but not extended. The depth, the word budget and the start points are
+    checked when the function is called, in that order, not on the first
+    step of the walk.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if len(spec.edges) ** depth > budget:
         raise BudgetExceeded(
             f"|E|^depth = {len(spec.edges)}^{depth} exceeds budget {budget}")
+    xp = as_point(x)
+    spec.require_in_domain(xp)
+    yp = None if y is None else as_point(y)
+    if yp is not None:
+        spec.require_in_domain(yp)
+    edges = spec.edges[::-1]  # pushed in reverse, popped in order
+
+    def nodes():
+        one = Fraction(1)
+        stack = [((), xp, yp, one, None if yp is None else one)]
+        while stack:
+            node = stack.pop()
+            yield node
+            word, x_pt, y_pt, px, py = node
+            if len(word) == depth or py == 0:
+                continue
+            for e in edges:
+                fx = e.prob.value_at(x_pt)
+                if fx == 0:
+                    continue
+                if y_pt is None:
+                    stack.append((word + (e.edge_id,), e.map.apply_point(x_pt),
+                                  None, px * fx, None))
+                    continue
+                fy = e.prob.value_at(y_pt)
+                stack.append((word + (e.edge_id,), e.map.apply_point(x_pt),
+                              e.map.apply_point(y_pt) if fy > 0 else y_pt,
+                              px * fx, py * fy))
+    return nodes()
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +104,13 @@ def enumerate_cylinders(spec: SystemSpec, x: PointLike, depth: int, *,
                         include_zero: bool = False,
                         budget: int = DEFAULT_WORD_BUDGET) -> list:
     """All depth-n words with their exact masses (zero words optional)."""
-    _check_budget(spec, depth, budget)
-    start = as_point(x)
-    spec.require_in_domain(start)
-    out = []
-
-    def walk(point: Point, mass: Fraction, word: tuple, k: int) -> None:
-        if k == depth:
-            out.append((word, mass))
-            return
-        for e in spec.edges:
-            factor = e.prob.value_at(point) if mass > 0 else Fraction(0)
-            sub = mass * factor
-            if sub == 0 and not include_zero:
-                continue
-            nxt = e.map.apply_point(point) if sub > 0 else point
-            walk(nxt, sub, word + (e.edge_id,), k + 1)
-
-    walk(start, Fraction(1), (), 0)
-    return out
+    rows = [(word, px) for word, _x, _y, px, _py in _code_walk(spec, x, None, depth, budget)
+            if len(word) == depth]
+    if not include_zero:
+        return rows
+    mass = dict(rows)
+    return [(word, mass.get(word, Fraction(0)))
+            for word in itertools.product(spec.edge_ids, repeat=depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,45 +168,22 @@ def martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
     """
     if m > n:
         raise ValueError(f"need m <= n, got m={m}, n={n}")
-    _check_budget(spec, n, budget)
-    xp, yp = as_point(x), as_point(y)
-    spec.require_in_domain(xp)
-    spec.require_in_domain(yp)
+    if m < 0:
+        raise ValueError(f"depth must be >= 0, got {m}")
     worst = Fraction(0)
-
-    def mass_below(px_pt, py_pt, px, py, k) -> Fraction:
-        # sum of x-masses over depth-n descendants with positive y-mass
-        if k == n:
-            return px
-        total = Fraction(0)
-        for e in spec.edges:
-            fx = e.prob.value_at(px_pt)
-            fy = e.prob.value_at(py_pt)
-            if fx == 0 or fy == 0:
-                continue
-            total += mass_below(e.map.apply_point(px_pt), e.map.apply_point(py_pt),
-                                px * fx, py * fy, k + 1)
-        return total
-
-    def walk(px_pt, py_pt, px, py, k) -> None:
-        nonlocal worst
-        if k == m:
-            defect = abs(mass_below(px_pt, py_pt, px, py, k) - px)
-            if defect > worst:
-                worst = defect
-            return
-        for e in spec.edges:
-            fx = e.prob.value_at(px_pt)
-            fy = e.prob.value_at(py_pt)
-            if fy == 0 or fx == 0:
-                # zero y-mass removes the word from the depth-m index set;
-                # zero x-mass makes both integrals vanish
-                continue
-            walk(e.map.apply_point(px_pt), e.map.apply_point(py_pt),
-                 px * fx, py * fy, k + 1)
-
-    walk(xp, yp, Fraction(1), Fraction(1), 0)
-    return worst
+    head = below = Fraction(0)   # x-masses of a depth-m word and of its depth-n words
+    # pre-order: a depth-m word's descendants follow it, before the next one
+    for word, _x, _y, px, py in _code_walk(spec, x, y, n, budget):
+        if py == 0:
+            # zero y-mass removes the word from the depth-m index set and
+            # its descendants from the depth-n integral
+            continue
+        if len(word) == m:
+            worst = max(worst, abs(below - head))
+            head, below = px, Fraction(0)
+        if len(word) == n:
+            below += px
+    return max(worst, abs(below - head))
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +197,11 @@ def tail_mass_exact(spec: SystemSpec, x: PointLike, y: PointLike, n: int,
     count; once the y-mass dies the whole subtree's x-mass is credited in
     one step via additivity.
     """
-    _check_budget(spec, n, budget)
     M = Fraction(M)
-    xp, yp = as_point(x), as_point(y)
-    spec.require_in_domain(xp)
-    spec.require_in_domain(yp)
     total = Fraction(0)
-
-    def walk(px_pt, py_pt, px, py, k) -> None:
-        nonlocal total
-        if px == 0:
-            return
-        if py == 0:
+    for word, _x, _y, px, py in _code_walk(spec, x, y, n, budget):
+        if py == 0 or (len(word) == n and px > M * py):
             total += px
-            return
-        if k == n:
-            if px > M * py:
-                total += px
-            return
-        for e in spec.edges:
-            fx = e.prob.value_at(px_pt)
-            if fx == 0:
-                continue
-            fy = e.prob.value_at(py_pt)
-            walk(e.map.apply_point(px_pt),
-                 e.map.apply_point(py_pt) if fy > 0 else py_pt,
-                 px * fx, py * fy, k + 1)
-
-    walk(xp, yp, Fraction(1), Fraction(1), 0)
     return total
 
 
@@ -275,52 +264,39 @@ class XiReport:
         return "\n".join(lines) + "\n"
 
 
-def _exact_tail_scan(spec: SystemSpec, x: Point, y: Point, params: XiParams):
-    """One-pass DFS collecting x-direction tail masses for every depth and
-    every grid threshold, plus per-depth total mass and an infinity witness."""
+def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiParams):
+    """One pair walk collecting x-direction tail masses for every depth up
+    to n_exact and every grid threshold, and the first-found among the
+    shortest words with positive x-mass and zero y-mass, or None; the
+    x-masses at each depth must sum to 1."""
     n_exact = params.n_exact
-    grid = sorted(Fraction(M) for M in params.m_grid)
+    # called first: it checks n_exact and the budget before the tables are sized
+    nodes = _code_walk(spec, x, y, n_exact, params.budget)
+    grid = sorted({Fraction(M) for M in params.m_grid})
     tails = {(n, M): Fraction(0) for n in range(1, n_exact + 1) for M in grid}
     depth_mass = [Fraction(0)] * (n_exact + 1)
     witness = None
-
-    def walk(px_pt, py_pt, px, py, word, k) -> None:
-        nonlocal witness
-        if px == 0:
-            return
+    for word, _x, _y, px, py in nodes:
+        k = len(word)
         if py == 0:
             # the whole subtree keeps x-mass px and zero y-mass
-            if witness is None or len(word) < len(witness):
+            if witness is None or k < len(witness):
                 witness = word
             for n in range(k, n_exact + 1):
                 depth_mass[n] += px
-                if n >= 1:
-                    for M in grid:
-                        tails[(n, M)] += px
-            return
-        depth_mass[k] += px
-        if k >= 1:
+                for M in grid:
+                    tails[(n, M)] += px
+        elif k:
+            depth_mass[k] += px
             for M in grid:
                 if px > M * py:
                     tails[(k, M)] += px
                 else:
                     break  # grid ascending, larger M cannot be exceeded
-        if k == n_exact:
-            return
-        for e in spec.edges:
-            fx = e.prob.value_at(px_pt)
-            if fx == 0:
-                continue
-            fy = e.prob.value_at(py_pt)
-            walk(e.map.apply_point(px_pt),
-                 e.map.apply_point(py_pt) if fy > 0 else py_pt,
-                 px * fx, py * fy, word + (e.edge_id,), k + 1)
-
-    walk(x, y, Fraction(1), Fraction(1), (), 0)
-    for n, mass in enumerate(depth_mass):
-        if mass != 1:
+    for n in range(1, n_exact + 1):
+        if depth_mass[n] != 1:
             raise DegenerateSampling(
-                f"depth-{n} masses sum to {format_rational(mass)}, not 1")
+                f"depth-{n} masses sum to {format_rational(depth_mass[n])}, not 1")
     return tails, witness
 
 
@@ -375,8 +351,7 @@ def _drift_stats(per_step: np.ndarray):
 
 
 def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
-                params: Optional[XiParams] = None, *,
-                external_certificate: bool = False) -> XiReport:
+                params: Optional[XiParams] = None) -> XiReport:
     """Graded verdict on mutual absolute continuity of the path measures.
 
     Exact phase: tail masses for every depth up to n_exact and every grid
@@ -398,7 +373,6 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     xp, yp = as_point(x), as_point(y)
     spec.require_in_domain(xp)
     spec.require_in_domain(yp)
-    _check_budget(spec, params.n_exact, params.budget)
 
     tails_x, witness_x = _exact_tail_scan(spec, xp, yp, params)
     tails_y, witness_y = _exact_tail_scan(spec, yp, xp, params)
@@ -454,8 +428,6 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
         verdict = "singular_statistical"
     elif persistent or z_fwd > params.drift_z or z_rev > params.drift_z:
         verdict = "singular_statistical"
-    elif external_certificate:
-        verdict = "equivalent"
     elif all_tails_zero and abs(z_fwd) < params.drift_z and abs(z_rev) < params.drift_z:
         verdict = "equivalent"
     else:

@@ -382,10 +382,6 @@ class SystemSpec:
     def has_rationality_edges(self) -> bool:
         return any(isinstance(e.prob, RationalityPredicate) for e in self.edges)
 
-    @property
-    def has_piecewise_edges(self) -> bool:
-        return any(isinstance(e.prob, PiecewiseConstant) for e in self.edges)
-
     def require_in_domain(self, p: Point) -> None:
         if not self.domain.contains_value(p.value):
             raise OutOfDomain(f"point {p} outside domain {self.domain}")

@@ -68,8 +68,8 @@ from typing import Optional
 import numpy as np
 
 from . import graph as graphmod, measures
-from .model import (BudgetExceeded, ImageSplitsCells, InconsistentMerge,
-                    Interval, NonConstantOnCell, NotPiecewiseConstant,
+from .model import (ImageSplitsCells, InconsistentMerge, Interval,
+                    NonConstantOnCell, NotPiecewiseConstant,
                     OutOfDomain, PiecewiseConstant, Point, PointLike,
                     RefinementBudgetExceeded, SystemSpec, Word, as_point,
                     cells_from_cuts, format_rational, format_word,
@@ -639,43 +639,22 @@ def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
     A lift follows the reduced transition table from some starting class;
     its factors are the original probabilities gated by membership of the
     actual orbit point in the lift's current class, so any wrong entry in
-    the reduced tables shows up as a positive defect.
+    the reduced tables shows up as a positive defect. Only the lift that
+    starts in the class of x can carry mass, and along a word its mass is
+    the cylinder mass until it leaves the orbit's classes or the table,
+    and zero from then on: a word's defect is its mass if the lift died.
     """
-    if len(spec.edges) ** depth > budget:
-        raise BudgetExceeded(f"|E|^{depth} exceeds budget {budget}")
-    start = as_point(x)
-    spec.require_in_domain(start)
     edge_target = {(fe.class_id, fe.label): fe.target for fe in fp.fms_edges}
-    n_classes = len(fp.classes)
+    live = {}   # depth -> the lift's class on the current word, None once dead
     worst = Fraction(0)
-
-    def walk(point, px, lifts, k):
-        nonlocal worst
+    for word, point, _y, px, _py in measures._code_walk(spec, x, None, depth, budget):
+        k = len(word)
+        cls = edge_target.get((live[k - 1], word[-1])) if k else classify_point(fp, point)
         if k == depth:
-            total = sum((r for _c, r in lifts), Fraction(0))
-            defect = abs(px - total)
-            if defect > worst:
-                worst = defect
-            return
-        here = classify_point(fp, point)
-        for e in spec.edges:
-            fx = e.prob.value_at(point)
-            if fx == 0:
-                continue
-            new_lifts = []
-            for c, r in lifts:
-                if c is None or r == 0:
-                    new_lifts.append((None, Fraction(0)))
-                    continue
-                nxt = edge_target.get((c, e.edge_id))
-                if nxt is None:
-                    new_lifts.append((None, Fraction(0)))
-                    continue
-                factor = fx if c == here else Fraction(0)
-                new_lifts.append((nxt, r * factor))
-            walk(e.map.apply_point(point), px * fx, new_lifts, k + 1)
-
-    walk(start, Fraction(1), [(c, Fraction(1)) for c in range(n_classes)], 0)
+            if cls is None:
+                worst = max(worst, px)
+        else:
+            live[k] = cls if cls is not None and cls == classify_point(fp, point) else None
     return worst
 
 
@@ -815,8 +794,7 @@ def partition_report(fp: FundamentalPartition) -> str:
                                     if bps else "(none)"))
     lines.append("cells:")
     for s, cell in enumerate(fp.chain.cells):
-        origin = ""
-        lines.append(f"  state {s}: {cell}{origin}")
+        lines.append(f"  state {s}: {cell}")
     lines.append("classes:")
     for info in fp.classes:
         lines.append(f"  class {info.class_id}: {info.describe()} "

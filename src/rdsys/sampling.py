@@ -133,18 +133,6 @@ class EvalTables:
                 lo = mid + 1
         return self._row(lo, tag)
 
-    def row_probs(self, row: int):
-        return self.probs[row]
-
-    def select_edge(self, row: int, u: int) -> int:
-        idx = 0
-        for k, threshold in self.row_selectors[row]:
-            if u >= threshold:
-                idx = k
-            else:
-                break
-        return idx
-
     # -- vector access (float positions) -------------------------------------
 
     def rows_vector(self, positions: np.ndarray, tags: np.ndarray) -> np.ndarray:

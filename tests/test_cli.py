@@ -96,6 +96,22 @@ class TestPartition:
         for name in ("report.txt", "report.json", "partition_report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_lift_depth_zero(self, step_file, capsys):
+        assert run(["partition", step_file, "--lift-depth", "0"]) == 0
+        assert "lift defect (depth 0, 5 points): 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cylinders", "--x", "1", "--depth", "-1"],
+    ["partition", "--lift-depth", "-1"],
+    ["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--n-exact", "-1"],
+])
+def test_negative_depth_is_usage_error(step_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv[:1] + [step_file] + argv[1:])
+    assert exc.value.code == 2
+    assert "depth must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestGraph:
     def test_step_graph(self, step_file, tmp_path, capsys):

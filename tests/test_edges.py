@@ -117,10 +117,17 @@ def test_xi_table_entries_bounded():
     assert all(0 <= v <= 2 for v in rep.exact_tail_table.values())
 
 
+def test_xi_repeated_threshold_counted_once():
+    params = dict(n_exact=3, n_mc=8, num_samples=8, seed=1)
+    once = xi_estimate(STEP, F(1), F(1, 4), XiParams(m_grid=(2,), **params))
+    twice = xi_estimate(STEP, F(1), F(1, 4), XiParams(m_grid=(2, 2), **params))
+    assert twice.exact_tail_table == once.exact_tail_table
+    assert once.exact_tail_table[(2, 2)] == F(1, 4)
+
+
 def test_external_certificate_grants_equivalence():
     params = XiParams(n_exact=4, n_mc=64, num_samples=64, seed=8)
-    rep = xi_estimate(systems.positive_step_system(), F(0), F(1), params,
-                      external_certificate=True)
+    rep = xi_estimate(systems.positive_step_system(), F(0), F(1), params)
     assert rep.verdict == "equivalent"
 
 

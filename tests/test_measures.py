@@ -1,16 +1,22 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_system
 from rdsys import systems
-from rdsys.measures import (BudgetExceeded, ExtendedRatio, XiParams,
-                            cylinder_measure, enumerate_cylinders,
-                            likelihood_ratio, martingale_discrepancy,
-                            tail_mass_exact, xi_estimate)
-from rdsys.model import Point
+from rdsys.measures import (DEFAULT_WORD_BUDGET, BudgetExceeded, ExtendedRatio,
+                            XiParams, _exact_tail_scan, cylinder_measure,
+                            enumerate_cylinders, likelihood_ratio,
+                            martingale_discrepancy, tail_mass_exact, xi_estimate)
+from rdsys.model import (DegenerateSampling, Point, PointLike,
+                         RefinementBudgetExceeded, SystemSpec, as_point,
+                         format_rational)
+from rdsys.partition import (FundamentalPartition, PartitionParams,
+                             classify_point, fundamental_partition, lift_check)
 
 F = Fraction
 
@@ -91,7 +97,6 @@ class TestConsistency:
             check_additivity(spec, x, 5)
 
     def test_random_systems_additivity(self, rng):
-        from conftest import random_system
         for _ in range(25):
             spec = random_system(rng)
             check_additivity(spec, F(rng.randint(0, 16), 16), 5)
@@ -160,6 +165,20 @@ class TestTailMass:
         assert all(a >= b for a, b in zip(masses, masses[1:]))
 
 
+class TestNegativeDepth:
+    @pytest.mark.parametrize("call", [
+        lambda: enumerate_cylinders(STEP, 1, -1),
+        lambda: tail_mass_exact(STEP, 1, F(1, 4), -1, 2),
+        lambda: martingale_discrepancy(STEP, 1, F(1, 4), -1, -1),
+        lambda: martingale_discrepancy(STEP, 1, F(1, 4), -1, 2),
+        lambda: lift_check(STEP, fundamental_partition(STEP), 1, -1),
+        lambda: xi_estimate(STEP, 1, F(1, 4), XiParams(n_exact=-1, seed=1)),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            call()
+
+
 class TestXi:
     def test_same_point_equivalent(self):
         params = XiParams(n_exact=4, n_mc=64, num_samples=64, seed=5)
@@ -204,3 +223,291 @@ class TestXi:
         assert "verdict,drift,stderr,samples,seed" in lines
         summary = lines[lines.index("verdict,drift,stderr,samples,seed") + 1]
         assert summary.split(",")[0] == rep.verdict
+
+
+# ---------------------------------------------------------------------------
+# differential test: the recursive walkers the code-space walk replaced,
+# kept verbatim as the oracle
+
+def oracle_check_budget(spec: SystemSpec, depth: int, budget: int) -> None:
+    if len(spec.edges) ** depth > budget:
+        raise BudgetExceeded(
+            f"|E|^depth = {len(spec.edges)}^{depth} exceeds budget {budget}")
+
+
+def oracle_enumerate_cylinders(spec: SystemSpec, x: PointLike, depth: int, *,
+                               include_zero: bool = False,
+                               budget: int = DEFAULT_WORD_BUDGET) -> list:
+    """All depth-n words with their exact masses (zero words optional)."""
+    oracle_check_budget(spec, depth, budget)
+    start = as_point(x)
+    spec.require_in_domain(start)
+    out = []
+
+    def walk(point: Point, mass: Fraction, word: tuple, k: int) -> None:
+        if k == depth:
+            out.append((word, mass))
+            return
+        for e in spec.edges:
+            factor = e.prob.value_at(point) if mass > 0 else Fraction(0)
+            sub = mass * factor
+            if sub == 0 and not include_zero:
+                continue
+            nxt = e.map.apply_point(point) if sub > 0 else point
+            walk(nxt, sub, word + (e.edge_id,), k + 1)
+
+    walk(start, Fraction(1), (), 0)
+    return out
+
+
+def oracle_martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
+                                  m: int, n: int, *,
+                                  budget: int = DEFAULT_WORD_BUDGET) -> Fraction:
+    """Largest defect of the prefix-ratio martingale identity.
+
+    For each depth-m word C with positive y-mass, compares the exact
+    integral of the depth-n ratio over C against the integral of the
+    depth-m ratio (both under the y-measure). The defect is zero whenever
+    no positive-x-mass word with zero y-mass appears by depth n, which is
+    the regime where the conditional-expectation identity holds.
+    """
+    if m > n:
+        raise ValueError(f"need m <= n, got m={m}, n={n}")
+    oracle_check_budget(spec, n, budget)
+    xp, yp = as_point(x), as_point(y)
+    spec.require_in_domain(xp)
+    spec.require_in_domain(yp)
+    worst = Fraction(0)
+
+    def mass_below(px_pt, py_pt, px, py, k) -> Fraction:
+        # sum of x-masses over depth-n descendants with positive y-mass
+        if k == n:
+            return px
+        total = Fraction(0)
+        for e in spec.edges:
+            fx = e.prob.value_at(px_pt)
+            fy = e.prob.value_at(py_pt)
+            if fx == 0 or fy == 0:
+                continue
+            total += mass_below(e.map.apply_point(px_pt), e.map.apply_point(py_pt),
+                                px * fx, py * fy, k + 1)
+        return total
+
+    def walk(px_pt, py_pt, px, py, k) -> None:
+        nonlocal worst
+        if k == m:
+            defect = abs(mass_below(px_pt, py_pt, px, py, k) - px)
+            if defect > worst:
+                worst = defect
+            return
+        for e in spec.edges:
+            fx = e.prob.value_at(px_pt)
+            fy = e.prob.value_at(py_pt)
+            if fy == 0 or fx == 0:
+                # zero y-mass removes the word from the depth-m index set;
+                # zero x-mass makes both integrals vanish
+                continue
+            walk(e.map.apply_point(px_pt), e.map.apply_point(py_pt),
+                 px * fx, py * fy, k + 1)
+
+    walk(xp, yp, Fraction(1), Fraction(1), 0)
+    return worst
+
+
+def oracle_tail_mass_exact(spec: SystemSpec, x: PointLike, y: PointLike, n: int,
+                           M, *, budget: int = DEFAULT_WORD_BUDGET) -> Fraction:
+    """Exact x-mass of depth-n words whose prefix ratio exceeds M.
+
+    Words with positive x-mass and zero y-mass (infinite ratio) always
+    count; once the y-mass dies the whole subtree's x-mass is credited in
+    one step via additivity.
+    """
+    oracle_check_budget(spec, n, budget)
+    M = Fraction(M)
+    xp, yp = as_point(x), as_point(y)
+    spec.require_in_domain(xp)
+    spec.require_in_domain(yp)
+    total = Fraction(0)
+
+    def walk(px_pt, py_pt, px, py, k) -> None:
+        nonlocal total
+        if px == 0:
+            return
+        if py == 0:
+            total += px
+            return
+        if k == n:
+            if px > M * py:
+                total += px
+            return
+        for e in spec.edges:
+            fx = e.prob.value_at(px_pt)
+            if fx == 0:
+                continue
+            fy = e.prob.value_at(py_pt)
+            walk(e.map.apply_point(px_pt),
+                 e.map.apply_point(py_pt) if fy > 0 else py_pt,
+                 px * fx, py * fy, k + 1)
+
+    walk(xp, yp, Fraction(1), Fraction(1), 0)
+    return total
+
+
+def oracle_exact_tail_scan(spec: SystemSpec, x: Point, y: Point, params: XiParams):
+    """One-pass DFS collecting x-direction tail masses for every depth and
+    every grid threshold, plus per-depth total mass and an infinity witness."""
+    n_exact = params.n_exact
+    grid = sorted(Fraction(M) for M in params.m_grid)
+    tails = {(n, M): Fraction(0) for n in range(1, n_exact + 1) for M in grid}
+    depth_mass = [Fraction(0)] * (n_exact + 1)
+    witness = None
+
+    def walk(px_pt, py_pt, px, py, word, k) -> None:
+        nonlocal witness
+        if px == 0:
+            return
+        if py == 0:
+            # the whole subtree keeps x-mass px and zero y-mass
+            if witness is None or len(word) < len(witness):
+                witness = word
+            for n in range(k, n_exact + 1):
+                depth_mass[n] += px
+                if n >= 1:
+                    for M in grid:
+                        tails[(n, M)] += px
+            return
+        depth_mass[k] += px
+        if k >= 1:
+            for M in grid:
+                if px > M * py:
+                    tails[(k, M)] += px
+                else:
+                    break  # grid ascending, larger M cannot be exceeded
+        if k == n_exact:
+            return
+        for e in spec.edges:
+            fx = e.prob.value_at(px_pt)
+            if fx == 0:
+                continue
+            fy = e.prob.value_at(py_pt)
+            walk(e.map.apply_point(px_pt),
+                 e.map.apply_point(py_pt) if fy > 0 else py_pt,
+                 px * fx, py * fy, word + (e.edge_id,), k + 1)
+
+    walk(x, y, Fraction(1), Fraction(1), (), 0)
+    for n, mass in enumerate(depth_mass):
+        if mass != 1:
+            raise DegenerateSampling(
+                f"depth-{n} masses sum to {format_rational(mass)}, not 1")
+    return tails, witness
+
+
+def oracle_lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
+                      depth: int, *, budget: int = 1 << 20) -> Fraction:
+    """Largest defect between original cylinder masses and the summed
+    masses of their path-consistent lifts through the reduced system.
+
+    A lift follows the reduced transition table from some starting class;
+    its factors are the original probabilities gated by membership of the
+    actual orbit point in the lift's current class, so any wrong entry in
+    the reduced tables shows up as a positive defect.
+    """
+    if len(spec.edges) ** depth > budget:
+        raise BudgetExceeded(f"|E|^{depth} exceeds budget {budget}")
+    start = as_point(x)
+    spec.require_in_domain(start)
+    edge_target = {(fe.class_id, fe.label): fe.target for fe in fp.fms_edges}
+    n_classes = len(fp.classes)
+    worst = Fraction(0)
+
+    def walk(point, px, lifts, k):
+        nonlocal worst
+        if k == depth:
+            total = sum((r for _c, r in lifts), Fraction(0))
+            defect = abs(px - total)
+            if defect > worst:
+                worst = defect
+            return
+        here = classify_point(fp, point)
+        for e in spec.edges:
+            fx = e.prob.value_at(point)
+            if fx == 0:
+                continue
+            new_lifts = []
+            for c, r in lifts:
+                if c is None or r == 0:
+                    new_lifts.append((None, Fraction(0)))
+                    continue
+                nxt = edge_target.get((c, e.edge_id))
+                if nxt is None:
+                    new_lifts.append((None, Fraction(0)))
+                    continue
+                factor = fx if c == here else Fraction(0)
+                new_lifts.append((nxt, r * factor))
+            walk(e.map.apply_point(point), px * fx, new_lifts, k + 1)
+
+    walk(start, Fraction(1), [(c, Fraction(1)) for c in range(n_classes)], 0)
+    return worst
+
+
+GRID = (F(1, 2), F(1), F(2), F(8))
+
+
+def compare_walks(spec, x, y, depth):
+    """Every fold against its oracle; the tail scan covers every depth and
+    threshold, so the other folds are compared at fewer of them."""
+    for n in range(depth + 1):
+        for zero in (False, True):
+            assert (enumerate_cylinders(spec, x, n, include_zero=zero)
+                    == oracle_enumerate_cylinders(spec, x, n, include_zero=zero))
+        for M in (F(1), F(8)):
+            assert tail_mass_exact(spec, x, y, n, M) == oracle_tail_mass_exact(spec, x, y, n, M)
+    for m in range(depth + 1):
+        assert (martingale_discrepancy(spec, x, y, m, depth)
+                == oracle_martingale_discrepancy(spec, x, y, m, depth))
+    for a, b in ((x, y), (y, x)):
+        params = XiParams(n_exact=depth, m_grid=GRID)
+        assert (_exact_tail_scan(spec, a, b, params)
+                == oracle_exact_tail_scan(spec, as_point(a), as_point(b), params))
+
+
+def compare_lifts(spec, fp, points, depth):
+    """On the partition's reduced tables, where every defect is zero, and on
+    tables with every target moved to the next class, where defects show."""
+    n = len(fp.classes)
+    moved = replace(fp, fms_edges=[replace(fe, target=(fe.target + 1) % n)
+                                   for fe in fp.fms_edges])
+    for tables in (fp, moved):
+        for x in points:
+            for k in range(1, depth + 1):
+                assert lift_check(spec, tables, x, k) == oracle_lift_check(spec, tables, x, k)
+
+
+BUNDLED_POINTS = (Point(F(0)), Point(F(1, 4)), Point(F(1, 3)), Point(F(5, 7)),
+                  Point(F(1)), IRR, Point(F(1, 5), True))
+
+
+class TestDifferential:
+    def test_random_systems(self):
+        rng = random.Random(0xC0DE)
+        lifted = 0
+        for _ in range(200):
+            spec = random_system(rng)
+            x, y = (Point(F(rng.randint(0, 16), 16)) for _ in range(2))
+            compare_walks(spec, x, y, 4)
+            try:
+                fp = fundamental_partition(spec, PartitionParams(refinement_cap=24))
+            except RefinementBudgetExceeded:
+                continue
+            lifted += 1
+            compare_lifts(spec, fp, (x, y), 4)
+        assert lifted >= 100
+
+    @pytest.mark.parametrize("name", sorted(systems.BUILDERS))
+    def test_bundled_systems(self, name):
+        spec = systems.bundled_spec(name)
+        points = [p for p in BUNDLED_POINTS
+                  if spec.has_rationality_edges or not p.irrational_tag]
+        for x, y in zip(points, points[1:] + points[:1]):
+            compare_walks(spec, x, y, 6)
+        compare_lifts(spec, fundamental_partition(spec), points, 7)

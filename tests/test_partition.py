@@ -627,6 +627,13 @@ class TestLiftAndOperator:
         fp = fundamental_partition(SPLIT, small_params())
         assert lift_check(SPLIT, fp, systems.IRRATIONAL_SAMPLE, 5) == 0
 
+    @pytest.mark.parametrize("name", sorted(systems.BUILDERS))
+    def test_depth_zero_lift_zero(self, name):
+        spec = systems.bundled_spec(name)
+        fp = fundamental_partition(spec)
+        for x in (F(0), F(1, 2), F(1)):
+            assert lift_check(spec, fp, x, 0) == 0
+
     def test_operator_agreement(self):
         from rdsys.dynamics import Polynomial
         fs = [Polynomial((F(1),)), Polynomial((F(0), F(1))),
