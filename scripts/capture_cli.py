@@ -38,6 +38,7 @@ XI_PAIRS = {
     "rational_split": (("0", "1/3"), ("0", "irr:1/2"), ("irr:1/5", "irr:9/10")),
     "constant_half": (("1/4", "3/4"), ("0", "1"), ("1/2", "1/2")),
 }
+DEEP_SYSTEM = "positive_step"
 
 
 def runs(name: str, path: str):
@@ -50,6 +51,13 @@ def runs(name: str, path: str):
         yield f"xi{k}", ["xi", path, "--x", x, "--y", y, "--seed", SEED,
                          "--samples", "300", "--n-mc", "300", "--n-exact", "6",
                          "--json"]
+    if name == DEEP_SYSTEM:
+        # the exact walks at the depth the benchmark's paths workload uses
+        yield "cylinders14", ["cylinders", path, "--x", "1/3", "--depth", "14", "--json"]
+        x, y = XI_PAIRS[name][1]
+        yield "xi_exact14", ["xi", path, "--x", x, "--y", y, "--seed", SEED,
+                             "--samples", "300", "--n-mc", "300", "--n-exact", "14",
+                             "--json"]
     yield "partition", ["partition", path, "--seed", SEED, "--json"]
     yield "partition_lift10", ["partition", path, "--lift-depth", "10", "--json"]
     yield "graph", ["graph", path, "--seed", SEED, "--json"]

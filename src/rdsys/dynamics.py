@@ -356,7 +356,8 @@ def convergence_rate(spec: SystemSpec, start_cloud, reference_cloud,
     Step ratios are reported only while the distance stays above a noise
     floor of three times the bootstrap error scale of the transport
     distance at this cloud size (the mean distance between independent
-    resamples of the reference).
+    resamples of the reference), and stop at a zero distance. A zero
+    ratio makes the geometric mean 0.
     """
     ref = np.asarray(reference_cloud, dtype=np.float64)
     start = np.asarray(start_cloud, dtype=np.float64)
@@ -376,12 +377,14 @@ def convergence_rate(spec: SystemSpec, start_cloud, reference_cloud,
 
     ratios = []
     for n in range(len(distances) - 1):
-        if distances[n] < noise_floor:
+        if distances[n] < noise_floor or distances[n] == 0:
             break
         ratios.append((n, distances[n + 1] / distances[n]))
     gm = None
-    if ratios:
-        gm = float(np.exp(np.mean([math.log(r) for _, r in ratios if r > 0])))
+    if any(r == 0 for _, r in ratios):
+        gm = 0.0   # the geometric mean of factors one of which is zero
+    elif ratios:
+        gm = float(np.exp(np.mean([math.log(r) for _, r in ratios])))
     return RateReport(distances=distances, ratios=ratios,
                       noise_floor=noise_floor, geometric_mean_ratio=gm,
                       bound=bound)

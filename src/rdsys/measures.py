@@ -20,7 +20,8 @@ import numpy as np
 
 from . import partition, sampling
 from .model import (BudgetExceeded, DegenerateSampling, Point, PointLike,
-                    SystemSpec, Word, as_point, format_rational)
+                    SystemSpec, Word, as_point, cell_probability_rows,
+                    format_rational)
 
 DEFAULT_WORD_BUDGET = 1 << 20
 
@@ -28,53 +29,107 @@ DEFAULT_WORD_BUDGET = 1 << 20
 # ---------------------------------------------------------------------------
 # the code-space walk
 
+def _walk_tables(spec: SystemSpec):
+    """The integer tables the walk reads, all from the common-refinement
+    cells and their probability rows (`cell_probability_rows`):
+
+    * cuts: (p, q, owned by the left cell) for each cut p/q between cells;
+    * scale: the common denominator of every edge probability;
+    * probs: per row, each edge's probability as a numerator over scale;
+    * steps: per row, the edges of positive probability, last edge first,
+      as (edge index, edge id, probability numerator, a, c, m, a != 0)
+      for the map x -> (a*x + c)/m.
+    """
+    cells, rows = cell_probability_rows(spec)
+    cuts = [(c.hi.numerator, c.hi.denominator, c.own_hi) for c in cells[:-1]]
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    probs = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    maps = []
+    for e in spec.edges:
+        s, c = e.map.slope, e.map.intercept
+        m = math.lcm(s.denominator, c.denominator)
+        a = s.numerator * (m // s.denominator)
+        maps.append((a, c.numerator * (m // c.denominator), m, a != 0))
+    steps = [tuple((k, spec.edges[k].edge_id, row[k], *maps[k])
+                   for k in reversed(range(len(row))) if row[k] > 0)
+             for row in probs]
+    return cuts, scale, probs, steps
+
+
 def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: int,
                budget: int):
     """Pre-order walk, in `spec.edges` order, over the words of length at
-    most `depth` with positive x-mass.
+    most `depth` with positive x-mass, in exact integer arithmetic.
 
-    Yields (word, x_point, y_point, px, py): the points the word leads x
-    and y to and its exact cylinder masses from each. With `y=None` only x
-    is followed and y_point and py are None. On an edge of zero
-    y-probability y's point stays put; a word with zero y-mass is yielded
-    but not extended. The depth, the word budget and the start points are
-    checked when the function is called, in that order, not on the first
-    step of the walk.
+    Returns (scale, nodes). `nodes` yields (word, x_state, y_state, px,
+    py): a state (n, d, tag) is the point n/d the word leads x or y to,
+    unreduced, with its irrationality tag, and px, py are the word's
+    cylinder masses from x and y as integer numerators over
+    scale**len(word). With `y=None` only x is followed and y_state and py
+    are None. On an edge of zero y-probability y's state stays put; a word
+    with zero y-mass is yielded but not extended. Each word locates its
+    points' cells by one exact bisection each on the common-refinement
+    cuts. The depth, the word budget and the start points are checked
+    when the function is called, in that order, not on the first step of
+    the walk.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if len(spec.edges) ** depth > budget:
+    n_edges = len(spec.edges)
+    # with two or more edges the power exceeds the budget once the depth
+    # passes its bit length, so the power is only ever computed when small
+    if (n_edges >= 2 and depth > int(budget).bit_length()) or n_edges ** depth > budget:
         raise BudgetExceeded(
-            f"|E|^depth = {len(spec.edges)}^{depth} exceeds budget {budget}")
+            f"|E|^depth = {n_edges}^{depth} exceeds budget {budget}")
     xp = as_point(x)
     spec.require_in_domain(xp)
     yp = None if y is None else as_point(y)
     if yp is not None:
         spec.require_in_domain(yp)
-    edges = spec.edges[::-1]  # pushed in reverse, popped in order
+    cuts, scale, probs, steps = _walk_tables(spec)
+    tagged = spec.has_rationality_edges
+
+    def row_of(n, d, tag):
+        # the cell holding n/d: the first cut p/q with n/d < p/q, or equal
+        # to it and owned by the left cell
+        lo, hi = 0, len(cuts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p, q, owned_left = cuts[mid]
+            if n * q < p * d or (owned_left and n * q == p * d):
+                hi = mid
+            else:
+                lo = mid + 1
+        return 2 * lo + tag if tagged else lo
+
+    def state(p: Point):
+        return p.value.numerator, p.value.denominator, p.irrational_tag
 
     def nodes():
-        one = Fraction(1)
-        stack = [((), xp, yp, one, None if yp is None else one)]
+        stack = [((), state(xp), None if yp is None else state(yp), 1,
+                  None if yp is None else 1)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node = stack.pop()
+            node = pop()
             yield node
-            word, x_pt, y_pt, px, py = node
+            word, xs, ys, px, py = node
             if len(word) == depth or py == 0:
                 continue
-            for e in edges:
-                fx = e.prob.value_at(x_pt)
-                if fx == 0:
-                    continue
-                if y_pt is None:
-                    stack.append((word + (e.edge_id,), e.map.apply_point(x_pt),
-                                  None, px * fx, None))
-                    continue
-                fy = e.prob.value_at(y_pt)
-                stack.append((word + (e.edge_id,), e.map.apply_point(x_pt),
-                              e.map.apply_point(y_pt) if fy > 0 else y_pt,
-                              px * fx, py * fy))
-    return nodes()
+            xn, xd, xt = xs
+            out = steps[row_of(xn, xd, xt)]
+            if ys is None:
+                for _k, eid, w, a, c, m, keep in out:
+                    push((word + (eid,), (a * xn + c * xd, m * xd, xt and keep),
+                          None, px * w, None))
+                continue
+            yn, yd, yt = ys
+            wy = probs[row_of(yn, yd, yt)]
+            for k, eid, w, a, c, m, keep in out:
+                v = wy[k]
+                push((word + (eid,), (a * xn + c * xd, m * xd, xt and keep),
+                      (a * yn + c * yd, m * yd, yt and keep) if v else ys,
+                      px * w, py * v))
+    return scale, nodes()
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +159,9 @@ def enumerate_cylinders(spec: SystemSpec, x: PointLike, depth: int, *,
                         include_zero: bool = False,
                         budget: int = DEFAULT_WORD_BUDGET) -> list:
     """All depth-n words with their exact masses (zero words optional)."""
-    rows = [(word, px) for word, _x, _y, px, _py in _code_walk(spec, x, None, depth, budget)
+    scale, nodes = _code_walk(spec, x, None, depth, budget)
+    den = scale ** depth
+    rows = [(word, Fraction(px, den)) for word, _x, _y, px, _py in nodes
             if len(word) == depth]
     if not include_zero:
         return rows
@@ -170,20 +227,22 @@ def martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
         raise ValueError(f"need m <= n, got m={m}, n={n}")
     if m < 0:
         raise ValueError(f"depth must be >= 0, got {m}")
-    worst = Fraction(0)
-    head = below = Fraction(0)   # x-masses of a depth-m word and of its depth-n words
+    scale, nodes = _code_walk(spec, x, y, n, budget)
+    up = scale ** (n - m)   # takes a depth-m mass numerator over to scale**n
+    worst = 0
+    head = below = 0   # x-masses of a depth-m word and of its depth-n words
     # pre-order: a depth-m word's descendants follow it, before the next one
-    for word, _x, _y, px, py in _code_walk(spec, x, y, n, budget):
+    for word, _x, _y, px, py in nodes:
         if py == 0:
             # zero y-mass removes the word from the depth-m index set and
             # its descendants from the depth-n integral
             continue
         if len(word) == m:
-            worst = max(worst, abs(below - head))
-            head, below = px, Fraction(0)
+            worst = max(worst, abs(below - head * up))
+            head, below = px, 0
         if len(word) == n:
             below += px
-    return max(worst, abs(below - head))
+    return Fraction(max(worst, abs(below - head * up)), scale ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +257,17 @@ def tail_mass_exact(spec: SystemSpec, x: PointLike, y: PointLike, n: int,
     one step via additivity.
     """
     M = Fraction(M)
-    total = Fraction(0)
-    for word, _x, _y, px, py in _code_walk(spec, x, y, n, budget):
-        if py == 0 or (len(word) == n and px > M * py):
+    a, b = M.numerator, M.denominator
+    scale, nodes = _code_walk(spec, x, y, n, budget)
+    power = [scale ** k for k in range(n + 1)]
+    total = 0   # over scale**n
+    for word, _x, _y, px, py in nodes:
+        k = len(word)
+        if py == 0:
+            total += px * power[n - k]
+        elif k == n and px * b > a * py:
             total += px
-    return total
+    return Fraction(total, power[n])
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +336,13 @@ def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiPar
     x-masses at each depth must sum to 1."""
     n_exact = params.n_exact
     # called first: it checks n_exact and the budget before the tables are sized
-    nodes = _code_walk(spec, x, y, n_exact, params.budget)
+    scale, nodes = _code_walk(spec, x, y, n_exact, params.budget)
+    power = [scale ** k for k in range(n_exact + 1)]
     grid = sorted({Fraction(M) for M in params.m_grid})
-    tails = {(n, M): Fraction(0) for n in range(1, n_exact + 1) for M in grid}
-    depth_mass = [Fraction(0)] * (n_exact + 1)
+    ratios = [(M.numerator, M.denominator) for M in grid]
+    # depth n's x-mass and tail masses per threshold, over scale**n
+    depth_mass = [0] * (n_exact + 1)
+    tails = [[0] * len(grid) for _ in range(n_exact + 1)]
     witness = None
     for word, _x, _y, px, py in nodes:
         k = len(word)
@@ -283,21 +351,23 @@ def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiPar
             if witness is None or k < len(witness):
                 witness = word
             for n in range(k, n_exact + 1):
-                depth_mass[n] += px
-                for M in grid:
-                    tails[(n, M)] += px
+                mass = px * power[n - k]
+                depth_mass[n] += mass
+                tails[n] = [t + mass for t in tails[n]]
         elif k:
             depth_mass[k] += px
-            for M in grid:
-                if px > M * py:
-                    tails[(k, M)] += px
+            row = tails[k]
+            for i, (a, b) in enumerate(ratios):
+                if px * b > a * py:
+                    row[i] += px
                 else:
                     break  # grid ascending, larger M cannot be exceeded
     for n in range(1, n_exact + 1):
-        if depth_mass[n] != 1:
-            raise DegenerateSampling(
-                f"depth-{n} masses sum to {format_rational(depth_mass[n])}, not 1")
-    return tails, witness
+        if depth_mass[n] != power[n]:
+            raise DegenerateSampling(f"depth-{n} masses sum to "
+                                     f"{format_rational(Fraction(depth_mass[n], power[n]))}, not 1")
+    return {(n, M): Fraction(tails[n][i], power[n])
+            for n in range(1, n_exact + 1) for i, M in enumerate(grid)}, witness
 
 
 def _mc_direction(spec: SystemSpec, tables, start: Point, other: Point,

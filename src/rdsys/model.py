@@ -282,14 +282,11 @@ class PiecewiseConstant:
         norm = tuple((iv, Fraction(val)) for iv, val in self.pieces)
         object.__setattr__(self, "pieces", norm)
 
-    def value_at_value(self, v) -> Fraction:
-        for iv, val in self.pieces:
-            if iv.contains_value(v):
-                return val
-        raise OverlappingPieces(f"no piece covers x={v}")
-
     def value_at(self, p: Point) -> Fraction:
-        return self.value_at_value(p.value)
+        for iv, val in self.pieces:
+            if iv.contains_value(p.value):
+                return val
+        raise OverlappingPieces(f"no piece covers x={p.value}")
 
     def coverage_problems(self, domain: Interval) -> list:
         """Exact gap/overlap/ownership defects against the domain."""
@@ -504,6 +501,35 @@ def common_refinement_cells(spec: SystemSpec) -> list:
     return cells_from_cuts(spec.domain, cuts)
 
 
+def cell_probability_rows(spec: SystemSpec) -> tuple:
+    """The common refinement cells and, per row, the exact probability of
+    every edge in edge order. The rows are the cells, crossed with the
+    rational/irrational tag (row 2*cell + tag) when any edge reads it.
+    A piecewise function is read in one sweep of its pieces in order,
+    since every cell lies inside one piece and the cells are ordered."""
+    cells = common_refinement_cells(spec)
+    tags = (False, True) if spec.has_rationality_edges else (False,)
+    columns = []
+    for e in spec.edges:
+        if isinstance(e.prob, RationalityPredicate):
+            columns.append([e.prob.value_on_irrationals if tag
+                            else e.prob.value_on_rationals
+                            for _cell in cells for tag in tags])
+            continue
+        pieces = sorted(e.prob.pieces, key=lambda piece: piece[0].start_key)
+        column, i = [], 0
+        for cell in cells:
+            v = cell.interior_point()
+            while i < len(pieces) and not pieces[i][0].contains_value(v):
+                i += 1
+            if i == len(pieces):
+                raise OverlappingPieces(f"no piece covers x={v}")
+            column += [pieces[i][1]] * len(tags)
+        columns.append(column)
+    return cells, [[column[r] for column in columns]
+                   for r in range(len(cells) * len(tags))]
+
+
 def cells_from_cuts(domain: Interval, cuts: Iterable) -> list:
     """Build the ordered interval cells determined by a set of cuts.
 
@@ -570,17 +596,15 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     cell_sums = []
     coverage_broken = any(i.kind == "OverlappingPieces" for i in issues)
     if not coverage_broken:
-        cells = common_refinement_cells(spec)
+        cells, rows = cell_probability_rows(spec)
         tags = (False, True) if spec.has_rationality_edges else (False,)
-        for cell in cells:
-            for tag in tags:
-                probe = Point(cell.interior_point(), tag)
-                total = sum((e.prob.value_at(probe) for e in spec.edges), Fraction(0))
-                desc = str(cell) + (" (irrational)" if tag else
-                                    (" (rational)" if len(tags) == 2 else ""))
-                cell_sums.append((desc, total))
-                if total != 1:
-                    issues.append(ValidationIssue(
-                        "NonUnitSum", f"cell {desc}: sum = {format_rational(total)}"))
+        for (cell, tag), values in zip(((c, t) for c in cells for t in tags), rows):
+            total = sum(values, Fraction(0))
+            desc = str(cell) + (" (irrational)" if tag else
+                                (" (rational)" if len(tags) == 2 else ""))
+            cell_sums.append((desc, total))
+            if total != 1:
+                issues.append(ValidationIssue(
+                    "NonUnitSum", f"cell {desc}: sum = {format_rational(total)}"))
 
     return ValidationReport(ok=not issues, cell_sums=cell_sums, issues=issues)

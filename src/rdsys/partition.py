@@ -646,16 +646,18 @@ def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
     """
     edge_target = {(fe.class_id, fe.label): fe.target for fe in fp.fms_edges}
     live = {}   # depth -> the lift's class on the current word, None once dead
-    worst = Fraction(0)
-    for word, point, _y, px, _py in measures._code_walk(spec, x, None, depth, budget):
+    scale, nodes = measures._code_walk(spec, x, None, depth, budget)
+    worst = 0   # over scale**depth
+    for word, (n, d, tag), _y, px, _py in nodes:
         k = len(word)
-        cls = edge_target.get((live[k - 1], word[-1])) if k else classify_point(fp, point)
-        if k == depth:
-            if cls is None:
+        if k == depth and k:
+            if edge_target.get((live[k - 1], word[-1])) is None:
                 worst = max(worst, px)
-        else:
-            live[k] = cls if cls is not None and cls == classify_point(fp, point) else None
-    return worst
+            continue
+        here = classify_point(fp, Point(Fraction(n, d), tag))
+        cls = edge_target.get((live[k - 1], word[-1])) if k else here
+        live[k] = cls if cls is not None and cls == here else None
+    return Fraction(worst, scale ** depth)
 
 
 def adjoint_discrepancy(spec: SystemSpec, fp: FundamentalPartition,

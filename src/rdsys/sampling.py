@@ -23,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .model import (PiecewiseConstant, RationalityPredicate, SystemSpec,
-                    ZeroMassState, common_refinement_cells)
+from .model import SystemSpec, ZeroMassState, cell_probability_rows
 
 TWO64 = 1 << 64
 U64_MAX = np.uint64(TWO64 - 1)
@@ -58,47 +57,37 @@ class EvalTables:
         self.edge_ids = list(spec.edge_ids)
         n_edges = len(self.edge_ids)
 
-        self.cells = common_refinement_cells(spec)
+        self.cells, self.probs = cell_probability_rows(spec)
         self.tagged = spec.has_rationality_edges
         self._cut_points = [c.hi for c in self.cells[:-1]]
         self._cut_owned_left = [c.own_hi for c in self.cells[:-1]]
         self._cut_points_f = np.array([float(t) for t in self._cut_points], dtype=np.float64)
         self._cut_owned_left_a = np.array(self._cut_owned_left, dtype=bool)
 
-        n_rows = len(self.cells) * (2 if self.tagged else 1)
-        self.probs: list = []          # row -> list of Fraction per edge
+        n_rows = len(self.probs)       # row -> list of Fraction per edge
         self.thresholds = np.zeros((n_rows, max(n_edges - 1, 1)), dtype=np.uint64)
         self.never = np.zeros_like(self.thresholds, dtype=bool)
         self.logp = np.full((n_rows, n_edges), -np.inf, dtype=np.float64)
 
-        for ci, cell in enumerate(self.cells):
-            for tag in ((False, True) if self.tagged else (False,)):
-                row = self._row(ci, tag)
-                values = []
-                for e in spec.edges:
-                    if isinstance(e.prob, PiecewiseConstant):
-                        values.append(e.prob.value_at_value(cell.interior_point()))
-                    else:
-                        values.append(e.prob.value_on_irrationals if tag
-                                      else e.prob.value_on_rationals)
-                total = sum(values, Fraction(0))
-                if total != 1:
-                    raise ZeroMassState(
-                        f"probabilities sum to {total} on cell {cell}"
-                        + (" (irrational)" if tag else ""))
-                self.probs.append(values)
-                cum = Fraction(0)
-                for k in range(n_edges - 1):
-                    cum += values[k]
-                    t = -((-cum.numerator * TWO64) // cum.denominator)  # ceil
-                    if t >= TWO64:
-                        self.thresholds[row, k] = U64_MAX
-                        self.never[row, k] = True
-                    else:
-                        self.thresholds[row, k] = t
-                for k, v in enumerate(values):
-                    if v > 0:
-                        self.logp[row, k] = math.log(v)
+        for row, values in enumerate(self.probs):
+            total = sum(values, Fraction(0))
+            if total != 1:
+                cell, tag = divmod(row, 2) if self.tagged else (row, 0)
+                raise ZeroMassState(
+                    f"probabilities sum to {total} on cell {self.cells[cell]}"
+                    + (" (irrational)" if tag else ""))
+            cum = Fraction(0)
+            for k in range(n_edges - 1):
+                cum += values[k]
+                t = -((-cum.numerator * TWO64) // cum.denominator)  # ceil
+                if t >= TWO64:
+                    self.thresholds[row, k] = U64_MAX
+                    self.never[row, k] = True
+                else:
+                    self.thresholds[row, k] = t
+            for k, v in enumerate(values):
+                if v > 0:
+                    self.logp[row, k] = math.log(v)
 
         self.slopes = [e.map.slope for e in spec.edges]
         self.intercepts = [e.map.intercept for e in spec.edges]

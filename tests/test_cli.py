@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,13 @@ class TestCylinders:
     def test_budget_exit_code(self, step_file):
         assert run(["cylinders", step_file, "--x", "1", "--depth", "64",
                     "--word-budget", "1024"]) == 2
+
+    def test_huge_depth_refused_without_the_power(self, step_file, capsys):
+        # 2^(10^9) is never computed: the depth passes the budget's bit length
+        start = time.perf_counter()
+        assert run(["cylinders", step_file, "--x", "1", "--depth", "1000000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "|E|^depth = 2^1000000000 exceeds budget 1048576" in capsys.readouterr().err
 
 
 class TestXi:

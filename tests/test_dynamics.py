@@ -206,3 +206,16 @@ class TestCloudsAndRates:
         assert lines[0] == "n,d_n,ratio"
         assert lines[-1].startswith("summary,")
         assert "precision=float64" in lines[-1]
+
+    def test_collapse_to_reference_reads_zero(self):
+        # x -> 1/2 lands every point on the reference in one step: the noise
+        # floor is 0, d_1 = 0, and the ratios stop there with mean 0
+        unit = Interval(Fraction(0), Fraction(1))
+        const = SystemSpec(domain=unit, edges=(Edge(
+            "0", AffineMap(Fraction(0), Fraction(1, 2)),
+            PiecewiseConstant(((unit, Fraction(1)),))),))
+        report = convergence_rate(const, np.linspace(0, 1, 100), [0.5] * 100, 4, seed=1)
+        assert report.noise_floor == 0.0
+        assert report.distances[1:] == [0.0] * 4
+        assert report.ratios == [(0, 0.0)]
+        assert report.geometric_mean_ratio == 0.0

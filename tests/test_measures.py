@@ -12,11 +12,13 @@ from rdsys.measures import (DEFAULT_WORD_BUDGET, BudgetExceeded, ExtendedRatio,
                             XiParams, _exact_tail_scan, cylinder_measure,
                             enumerate_cylinders, likelihood_ratio,
                             martingale_discrepancy, tail_mass_exact, xi_estimate)
-from rdsys.model import (DegenerateSampling, Point, PointLike,
+from rdsys.model import (AffineMap, DegenerateSampling, Edge, Interval, Point,
+                         PointLike, RationalityPredicate,
                          RefinementBudgetExceeded, SystemSpec, as_point,
                          format_rational)
 from rdsys.partition import (FundamentalPartition, PartitionParams,
                              classify_point, fundamental_partition, lift_check)
+from rdsys.sysfile import parse_system
 
 F = Fraction
 
@@ -483,6 +485,12 @@ def compare_lifts(spec, fp, points, depth):
                 assert lift_check(spec, tables, x, k) == oracle_lift_check(spec, tables, x, k)
 
 
+STEP_RIGHT_OWNED = parse_system(systems.bundled_text("step_ninth").replace(
+    "(0,1/9,true,true,", "(0,1/9,true,false,").replace("(1/9,1,false,true,", "(1/9,1,true,true,"))
+COLLAPSE = SystemSpec(domain=Interval(F(0), F(1)), edges=(
+    Edge("0", AffineMap(F(0), F(1, 3)), RationalityPredicate(F(1, 2), F(1, 4))),
+    Edge("1", AffineMap(F(1, 2), F(1, 4)), RationalityPredicate(F(1, 2), F(3, 4)))))
+
 BUNDLED_POINTS = (Point(F(0)), Point(F(1, 4)), Point(F(1, 3)), Point(F(5, 7)),
                   Point(F(1)), IRR, Point(F(1, 5), True))
 
@@ -511,3 +519,24 @@ class TestDifferential:
         for x, y in zip(points, points[1:] + points[:1]):
             compare_walks(spec, x, y, 6)
         compare_lifts(spec, fundamental_partition(spec), points, 7)
+
+    @pytest.mark.parametrize("spec, x, y", [
+        # start on a cut owned by the left cell (1/9, 1/2), then on one
+        # owned by the right cell
+        (STEP, Point(F(1, 9)), Point(F(1, 3))),
+        (POSITIVE, Point(F(1, 2)), Point(F(1, 6))),
+        (STEP_RIGHT_OWNED, Point(F(1, 9)), Point(F(1, 3))),
+        # 62-digit denominators on either side of the cut at 1/9
+        (STEP, Point(F(1, 9) + F(1, 3 ** 130)), Point(F(1, 9) - F(1, 3 ** 130))),
+        # after edge 0 (slope 0) an irrational start is the rational 1/3,
+        # whose probabilities differ from the irrationals'
+        (COLLAPSE, Point(F(1, 5), True), Point(F(1, 2))),
+        (COLLAPSE, IRR, Point(F(1, 5), True)),
+    ])
+    def test_cut_long_and_tagged_start_points(self, spec, x, y):
+        compare_walks(spec, x, y, 6)
+        compare_lifts(spec, fundamental_partition(spec), (x, y), 7)
+
+    def test_tail_mass_at_benchmark_depth(self):
+        x, y = F(1, 7), F(5, 7)
+        assert tail_mass_exact(POSITIVE, x, y, 14, 8) == oracle_tail_mass_exact(POSITIVE, x, y, 14, 8)
