@@ -53,7 +53,7 @@ def analyze(name, seed, quick):
         mom = exact_first_moment(spec, fp.chain, stat)
         print("global mean:", format_rational(mom.global_mean))
 
-    a = contraction_estimate(spec, fp.partition, 12, seed=seed)
+    a = contraction_estimate(spec, fp.partition)
     print("average contraction quotient:", format_rational(a))
     return spec, fp
 

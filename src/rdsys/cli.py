@@ -31,7 +31,9 @@ EXIT_INVARIANT = 3
 
 
 class _Output:
-    """Collects named output files plus a stdout report."""
+    """Collects named output files plus a stdout report. A file is a
+    zero-argument callable that renders its text; `flush` calls it only
+    when there is a directory to write to."""
 
     def __init__(self, outdir):
         self.outdir = Path(outdir) if outdir else None
@@ -41,8 +43,8 @@ class _Output:
     def say(self, line: str = "") -> None:
         self.report_lines.append(line)
 
-    def file(self, name: str, content: str) -> None:
-        self.files[name] = content
+    def file(self, name: str, render) -> None:
+        self.files[name] = render
 
     def flush(self, json_tree=None) -> None:
         text = "\n".join(self.report_lines) + "\n"
@@ -50,8 +52,8 @@ class _Output:
         if self.outdir:
             self.outdir.mkdir(parents=True, exist_ok=True)
             (self.outdir / "report.txt").write_text(text, encoding="utf-8")
-            for name, content in self.files.items():
-                (self.outdir / name).write_text(content, encoding="utf-8")
+            for name, render in self.files.items():
+                (self.outdir / name).write_text(render(), encoding="utf-8")
             if json_tree is not None:
                 (self.outdir / "report.json").write_text(
                     json.dumps(json_tree, indent=2, sort_keys=True) + "\n",
@@ -169,7 +171,7 @@ def _cmd_cylinders(args, spec, out: _Output) -> int:
     csv = ["word,mass"]
     for word, mass in rows:
         csv.append(f"{format_word(word)},{format_rational(mass)}")
-    out.file("cylinders.csv", "\n".join(csv) + "\n")
+    out.file("cylinders.csv", lambda: "\n".join(csv) + "\n")
     out.say("\n".join(csv))
     tree = {"x": str(x), "depth": args.depth,
             "cylinders": {format_word(w): format_rational(m) for w, m in rows}}
@@ -191,7 +193,7 @@ def _cmd_xi(args, spec, out: _Output) -> int:
     out.say(f"evidence grade: "
             + ("exact certificate" if report.exact
                else f"statistical, seed={report.seed}"))
-    out.file("xi.csv", report.to_csv())
+    out.file("xi.csv", report.to_csv)
     out.say(report.to_csv().rstrip("\n"))
     tree = {"verdict": report.verdict, "drift": report.mc_drift,
             "stderr": report.mc_drift_stderr, "seed": report.seed,
@@ -238,7 +240,7 @@ def _cmd_partition(args, spec, out: _Output) -> int:
     if worst != 0 or worst_u != 0:
         raise RdsError("lift or operator identity violated")
 
-    out.file("partition_report.txt", partmod.partition_report(fp))
+    out.file("partition_report.txt", lambda: partmod.partition_report(fp))
     tree = {
         "breakpoints": [format_rational(b) for b in fp.partition.breakpoints],
         "classes": {info.class_id: info.describe() for info in fp.classes},
@@ -272,11 +274,12 @@ def _cmd_graph(args, spec, out: _Output) -> int:
         sub = graphmod.Digraph(vertices=tuple(sorted(sub_vertices)), arcs=sub_arcs)
         out.say(f"recurrent restricted to terminal component: {graphmod.is_recurrent(sub)}")
 
-    mat = graphmod.aggregated_matrix(chain)
-    csv = ["," + ",".join(f"state{j}" for j in range(chain.n_states))]
-    for i, row in enumerate(mat):
-        csv.append(f"state{i}," + ",".join(format_rational(v) for v in row))
-    out.file("matrix.csv", "\n".join(csv) + "\n")
+    def matrix_csv() -> str:
+        csv = ["," + ",".join(f"state{j}" for j in range(chain.n_states))]
+        for i, row in enumerate(graphmod.aggregated_matrix(chain)):
+            csv.append(f"state{i}," + ",".join(format_rational(v) for v in row))
+        return "\n".join(csv) + "\n"
+    out.file("matrix.csv", matrix_csv)
 
     tree = {"irreducible": irr, "aperiodic": aper, "recurrent": rec}
     if stat.unique:
@@ -284,9 +287,9 @@ def _cmd_graph(args, spec, out: _Output) -> int:
         for v in range(chain.n_states):
             out.say(f"  state {v} {chain.cells[v]}: {format_rational(stat.pi[v])}")
         out.say(f"residual: {format_rational(stat.residual)}")
-        pcsv = ["state,pi"] + [f"{v},{format_rational(stat.pi[v])}"
-                               for v in range(chain.n_states)]
-        out.file("stationary.csv", "\n".join(pcsv) + "\n")
+        out.file("stationary.csv", lambda: "\n".join(
+            ["state,pi"] + [f"{v},{format_rational(stat.pi[v])}"
+                            for v in range(chain.n_states)]) + "\n")
         mom = graphmod.exact_first_moment(spec, chain, stat)
         out.say("per-class first moments (exact, recurrent states):")
         for v, m in sorted(mom.per_class.items()):
@@ -335,9 +338,11 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
                 f"{format_rational(freqs[info.class_id])}")
     tree["class_frequencies"] = {cid: format_rational(v) for cid, v in freqs.items()}
 
-    buf = io.StringIO()
-    trace.write_csv(buf)
-    out.file("trace.csv", buf.getvalue())
+    def trace_csv() -> str:
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        return buf.getvalue()
+    out.file("trace.csv", trace_csv)
     out.flush(tree if args.json else None)
     return EXIT_OK
 
@@ -355,7 +360,7 @@ def _cmd_rate(args, spec, out: _Output) -> int:
             f"{report.geometric_mean_ratio!r}")
     if bound is not None:
         out.say(f"comparison bound max(1/3,b)^(1/2): {bound!r}")
-    out.file("rate.csv", report.to_csv())
+    out.file("rate.csv", report.to_csv)
     out.say(report.to_csv().rstrip("\n"))
     tree = {"noise_floor": report.noise_floor,
             "geometric_mean_ratio": report.geometric_mean_ratio,

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import sampling
 from .model import (DegenerateCellOnly, EmptySamples, EmptyTrace, Interval,
-                    Point, PointLike, RdsError, SystemSpec, as_point,
-                    format_rational, parse_rational)
+                    NonConstantOnCell, Point, PointLike, RdsError, SystemSpec,
+                    as_point, format_rational, parse_rational)
 
 DENOMINATOR_BIT_CAP = 4096
 
@@ -136,8 +136,9 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
     slope_nonzero = [s != 0 for s in slopes]
     edge_ids = tables.edge_ids
     selectors = tables.row_selectors
-    cuts_f = tables.cut_points_float
-    owned_left = tables._cut_owned_left
+    row_of = tables.index.row_of
+    cuts_f = tables.index.cuts_f.tolist()
+    owned_left = tables.index.cuts_owned.tolist()
     tagged = tables.tagged
 
     done = 0
@@ -148,7 +149,7 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
         for u in chunk:
             if exact:
                 # exact cell lookup against rational breakpoints
-                row = tables.cell_index_scalar(x, tag)
+                row = row_of(x.numerator, x.denominator, tag)
             else:
                 # float positions compare against float breakpoints; only a
                 # position within rounding of a breakpoint can be misfiled
@@ -244,40 +245,28 @@ def class_frequencies(trace: Trace, fp) -> dict:
 # ---------------------------------------------------------------------------
 # contraction on average
 
-def contraction_estimate(spec: SystemSpec, part, num_pairs: int, seed: int) -> Fraction:
-    """Largest sampled one-step average contraction quotient.
+def contraction_estimate(spec: SystemSpec, part) -> Fraction:
+    """Largest one-step average contraction quotient, exactly.
 
-    Pairs are drawn inside a common cell, so both points share the same
-    exact probabilities; for systems with constant-slope maps the quotient
-    is the same for every pair and the estimate is exact.
+    In a cell of a stable partition every p_e is constant, so for a != b
+    in the cell sum_e p_e(a) |w_e(a) - w_e(b)| / |a - b| equals
+    sum_e p_e(cell) |slope_e| for affine maps: every pair in a cell has
+    the same quotient. The result is the largest of these sums over the
+    nondegenerate cells of `part`, read with their tags from the system's
+    `CellIndex`.
     """
     cells = [c for c in part.cells if not c.interval.is_degenerate]
     if not cells:
-        raise DegenerateCellOnly("no nondegenerate cell to sample from")
-    rng = sampling.substream(seed, 0)
+        raise DegenerateCellOnly("no nondegenerate cell to take pairs from")
+    index = spec.cell_index
+    slopes = [abs(e.map.slope) for e in spec.edges]
     worst = Fraction(0)
-    for k in range(num_pairs):
-        cell = cells[k % len(cells)]
-        iv = cell.interval
-        width = iv.hi - iv.lo
-        while True:
-            u1 = int(rng.integers(0, sampling.TWO64 - 1, endpoint=True, dtype=np.uint64))
-            u2 = int(rng.integers(0, sampling.TWO64 - 1, endpoint=True, dtype=np.uint64))
-            a = iv.lo + width * Fraction(u1 + 1, sampling.TWO64 + 2)
-            b = iv.lo + width * Fraction(u2 + 1, sampling.TWO64 + 2)
-            if a != b:
-                break
-        tag = cell.tag == "irrational"
-        pa = Point(a, tag)
-        quotient = Fraction(0)
-        for e in spec.edges:
-            pe = e.prob.value_at(pa)
-            if pe == 0:
-                continue
-            quotient += pe * abs(e.map.apply_value(a) - e.map.apply_value(b))
-        quotient = quotient / abs(a - b)
-        if quotient > worst:
-            worst = quotient
+    for cell in cells:
+        row = index.row_of_interval(cell.interval, cell.tag == "irrational")
+        if row is None:
+            raise NonConstantOnCell(f"probabilities are not constant on cell {cell}")
+        worst = max(worst, sum((p * s for p, s in zip(index.rows[row], slopes)),
+                               Fraction(0)))
     return worst
 
 

@@ -20,41 +20,13 @@ import numpy as np
 
 from . import partition, sampling
 from .model import (BudgetExceeded, DegenerateSampling, Point, PointLike,
-                    SystemSpec, Word, as_point, cell_probability_rows,
-                    format_rational)
+                    SystemSpec, Word, as_point, format_rational)
 
 DEFAULT_WORD_BUDGET = 1 << 20
 
 
 # ---------------------------------------------------------------------------
 # the code-space walk
-
-def _walk_tables(spec: SystemSpec):
-    """The integer tables the walk reads, all from the common-refinement
-    cells and their probability rows (`cell_probability_rows`):
-
-    * cuts: (p, q, owned by the left cell) for each cut p/q between cells;
-    * scale: the common denominator of every edge probability;
-    * probs: per row, each edge's probability as a numerator over scale;
-    * steps: per row, the edges of positive probability, last edge first,
-      as (edge index, edge id, probability numerator, a, c, m, a != 0)
-      for the map x -> (a*x + c)/m.
-    """
-    cells, rows = cell_probability_rows(spec)
-    cuts = [(c.hi.numerator, c.hi.denominator, c.own_hi) for c in cells[:-1]]
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    probs = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
-    maps = []
-    for e in spec.edges:
-        s, c = e.map.slope, e.map.intercept
-        m = math.lcm(s.denominator, c.denominator)
-        a = s.numerator * (m // s.denominator)
-        maps.append((a, c.numerator * (m // c.denominator), m, a != 0))
-    steps = [tuple((k, spec.edges[k].edge_id, row[k], *maps[k])
-                   for k in reversed(range(len(row))) if row[k] > 0)
-             for row in probs]
-    return cuts, scale, probs, steps
-
 
 def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: int,
                budget: int):
@@ -68,8 +40,8 @@ def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: in
     scale**len(word). With `y=None` only x is followed and y_state and py
     are None. On an edge of zero y-probability y's state stays put; a word
     with zero y-mass is yielded but not extended. Each word locates its
-    points' cells by one exact bisection each on the common-refinement
-    cuts. The depth, the word budget and the start points are checked
+    points' rows by one exact bisection each on the system's `CellIndex`.
+    The depth, the word budget and the start points are checked
     when the function is called, in that order, not on the first step of
     the walk.
     """
@@ -86,21 +58,8 @@ def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: in
     yp = None if y is None else as_point(y)
     if yp is not None:
         spec.require_in_domain(yp)
-    cuts, scale, probs, steps = _walk_tables(spec)
-    tagged = spec.has_rationality_edges
-
-    def row_of(n, d, tag):
-        # the cell holding n/d: the first cut p/q with n/d < p/q, or equal
-        # to it and owned by the left cell
-        lo, hi = 0, len(cuts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p, q, owned_left = cuts[mid]
-            if n * q < p * d or (owned_left and n * q == p * d):
-                hi = mid
-            else:
-                lo = mid + 1
-        return 2 * lo + tag if tagged else lo
+    index = spec.cell_index
+    scale, probs, steps, row_of = index.scale, index.numerators, index.steps, index.row_of
 
     def state(p: Point):
         return p.value.numerator, p.value.denominator, p.irrational_tag
@@ -138,21 +97,28 @@ def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: in
 def cylinder_measure(spec: SystemSpec, x: PointLike, word: Word) -> Fraction:
     """Exact mass of the cylinder of all paths starting with `word`.
 
-    The product short-circuits at the first zero factor; maps past that
-    point are never applied, so edges only need to act where their
-    probability is positive.
+    Each letter finds the point's row by one exact bisection on the
+    system's `CellIndex` and applies the map in integers. The product
+    short-circuits at the first zero factor; maps past that point are
+    never applied, so edges only need to act where their probability is
+    positive, and letters past it are not looked up.
     """
     p = as_point(x)
     spec.require_in_domain(p)
-    mass = Fraction(1)
+    index = spec.cell_index
+    n, d, tag = p.value.numerator, p.value.denominator, p.irrational_tag
+    mass = 1   # over scale**len(word)
     for edge_id in word:
-        e = spec.edge(edge_id)
-        factor = e.prob.value_at(p)
+        k = index.position.get(edge_id)
+        if k is None:
+            spec.edge(edge_id)   # raises UnknownEdge
+        factor = index.numerators[index.row_of(n, d, tag)][k]
         if factor == 0:
             return Fraction(0)
         mass *= factor
-        p = e.map.apply_point(p)
-    return mass
+        a, c, m = index.maps[k]
+        n, d, tag = a * n + c * d, m * d, tag and a != 0
+    return Fraction(mass, index.scale ** len(word))
 
 
 def enumerate_cylinders(spec: SystemSpec, x: PointLike, depth: int, *,

@@ -10,9 +10,13 @@ functions that only depend on rationality read the tag exactly.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +387,12 @@ class SystemSpec:
         if not self.domain.contains_value(p.value):
             raise OutOfDomain(f"point {p} outside domain {self.domain}")
 
+    @functools.cached_property
+    def cell_index(self) -> "CellIndex":
+        """The system's `CellIndex`, built on first use and kept. It is
+        not a field, so it takes no part in equality or hashing."""
+        return CellIndex(self)
+
 
 # ---------------------------------------------------------------------------
 # discrete measures
@@ -506,7 +516,9 @@ def cell_probability_rows(spec: SystemSpec) -> tuple:
     every edge in edge order. The rows are the cells, crossed with the
     rational/irrational tag (row 2*cell + tag) when any edge reads it.
     A piecewise function is read in one sweep of its pieces in order,
-    since every cell lies inside one piece and the cells are ordered."""
+    since every cell lies inside one piece and the cells are ordered; a
+    cell that no piece holds (a gap between pieces) raises
+    `OverlappingPieces`."""
     cells = common_refinement_cells(spec)
     tags = (False, True) if spec.has_rationality_edges else (False,)
     columns = []
@@ -519,15 +531,85 @@ def cell_probability_rows(spec: SystemSpec) -> tuple:
         pieces = sorted(e.prob.pieces, key=lambda piece: piece[0].start_key)
         column, i = [], 0
         for cell in cells:
-            v = cell.interior_point()
-            while i < len(pieces) and not pieces[i][0].contains_value(v):
+            while i < len(pieces) and not pieces[i][0].contains_interval(cell):
                 i += 1
             if i == len(pieces):
-                raise OverlappingPieces(f"no piece covers x={v}")
+                raise OverlappingPieces(f"edge {e.edge_id}: no piece holds cell {cell}")
             column += [pieces[i][1]] * len(tags)
         columns.append(column)
     return cells, [[column[r] for column in columns]
                    for r in range(len(cells) * len(tags))]
+
+
+class CellIndex:
+    """Every per-cell quantity of a system, read from its common-refinement
+    cells, for exact and float lookups of a point's probability row.
+
+    * cells, rows: the cells and their probability rows, as
+      `cell_probability_rows` gives them, and `tagged`: whether rows are
+      crossed with the rational/irrational tag;
+    * cuts: (p, q, owned by the left cell) for each cut p/q between
+      neighbouring cells, with its float mirror `cuts_f` (the cut values)
+      and `cuts_owned`;
+    * scale: the common denominator of every probability; numerators: the
+      rows as integer numerators over scale;
+    * maps: (a, c, m) per edge for the map x -> (a*x + c)/m;
+    * steps: per row, the edges of positive probability, last edge first,
+      as (edge index, edge id, probability numerator, a, c, m, a != 0);
+    * position: edge id -> edge index.
+    """
+
+    def __init__(self, spec: SystemSpec):
+        self.cells, self.rows = cell_probability_rows(spec)
+        self.tagged = spec.has_rationality_edges
+        ends = self.cells[:-1]
+        self.cuts = [(c.hi.numerator, c.hi.denominator, c.own_hi) for c in ends]
+        self.cuts_f = np.array([float(c.hi) for c in ends], dtype=np.float64)
+        self.cuts_owned = np.array([c.own_hi for c in ends], dtype=bool)
+        self.scale = math.lcm(*(v.denominator for row in self.rows for v in row))
+        self.numerators = [[v.numerator * (self.scale // v.denominator) for v in row]
+                           for row in self.rows]
+        self.maps = []
+        for e in spec.edges:
+            s, c = e.map.slope, e.map.intercept
+            m = math.lcm(s.denominator, c.denominator)
+            self.maps.append((s.numerator * (m // s.denominator),
+                              c.numerator * (m // c.denominator), m))
+        self.steps = [tuple((k, spec.edges[k].edge_id, row[k], *self.maps[k],
+                             self.maps[k][0] != 0)
+                            for k in reversed(range(len(row))) if row[k] > 0)
+                      for row in self.numerators]
+        self.position = {}
+        for k, e in enumerate(spec.edges):
+            self.position.setdefault(e.edge_id, k)
+
+    def row_of(self, n: int, d: int, tag: bool, closed: bool = True) -> int:
+        """The row of the point n/d (d > 0) with its tag, by one exact
+        bisection on the cuts: the cell before the first cut p/q with
+        n/d < p/q, or equal to it and owned by the left cell. With
+        `closed` false, the row of the points just right of n/d."""
+        cuts = self.cuts
+        lo, hi = 0, len(cuts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p, q, owned_left = cuts[mid]
+            if n * q < p * d or (closed and owned_left and n * q == p * d):
+                hi = mid
+            else:
+                lo = mid + 1
+        return 2 * lo + tag if self.tagged else lo
+
+    def row_of_interval(self, iv: Interval, tag: bool) -> Optional[int]:
+        """The row of the cell that holds all of `iv`, with the tag; None
+        when `iv` crosses a cut."""
+        row = self.row_of(iv.lo.numerator, iv.lo.denominator, tag, iv.own_lo)
+        k = row // 2 if self.tagged else row
+        if k < len(self.cuts):
+            p, q, owned_left = self.cuts[k]
+            left, right = iv.hi.numerator * q, p * iv.hi.denominator
+            if left > right or (left == right and iv.own_hi and not owned_left):
+                return None
+        return row
 
 
 def cells_from_cuts(domain: Interval, cuts: Iterable) -> list:

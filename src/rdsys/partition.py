@@ -71,7 +71,8 @@ from . import graph as graphmod, measures
 from .model import (ImageSplitsCells, InconsistentMerge, Interval,
                     NonConstantOnCell, NotPiecewiseConstant,
                     OutOfDomain, PiecewiseConstant, Point, PointLike,
-                    RefinementBudgetExceeded, SystemSpec, Word, as_point,
+                    RationalityPredicate, RefinementBudgetExceeded,
+                    SystemSpec, Word, as_point,
                     cells_from_cuts, format_rational, format_word,
                     markov_operator)
 
@@ -254,24 +255,44 @@ class LabeledChain:
         return mass
 
 
+def _nonconstant_edge(spec: SystemSpec, cell: Cell) -> Optional[int]:
+    """The index of the first piecewise edge none of whose pieces holds
+    the cell, by a scan of every piece; None when there is none."""
+    return next((k for k, e in enumerate(spec.edges) if isinstance(e.prob, PiecewiseConstant)
+                 and not any(iv.contains_interval(cell.interval) for iv, _v in e.prob.pieces)),
+                None)
+
+
 def extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> LabeledChain:
     """Read off per-cell probabilities and single-cell images, verifying
-    constancy and image containment exactly."""
+    constancy and image containment exactly.
+
+    Each cell finds its probability row by one bisection on the system's
+    `CellIndex`; every edge is constant on the cell exactly when the cell
+    lies inside one common-refinement cell. An edge that reads the tag
+    needs a tagged cell."""
+    index = spec.cell_index
+    reads_tag = [isinstance(e.prob, RationalityPredicate) and e.prob.constant_value() is None
+                 for e in spec.edges]
     prob = {}
     target = {}
     reps = {}
     for s, cell in enumerate(part.cells):
         rep = cell.representative()
         reps[s] = rep
-        for e in spec.edges:
-            value = e.prob.value_at(rep)
-            if isinstance(e.prob, PiecewiseConstant):
-                holder = next((iv for iv, _v in e.prob.pieces
-                               if iv.contains_interval(cell.interval)), None)
-                if holder is None:
-                    raise NonConstantOnCell(
-                        f"edge {e.edge_id} not constant on cell {cell}")
-            elif cell.tag is None and e.prob.constant_value() is None:
+        row = index.row_of_interval(cell.interval, rep.irrational_tag)
+        bad = None
+        if row is None:
+            # the cell crosses a cut: only this error path scans the pieces,
+            # for the first edge not constant on the cell; the edges before
+            # it are constant on the cell and read at its representative
+            bad = _nonconstant_edge(spec, cell)
+            row = index.row_of(rep.value.numerator, rep.value.denominator,
+                               rep.irrational_tag)
+        for k, (e, value) in enumerate(zip(spec.edges, index.rows[row])):
+            if k == bad:
+                raise NonConstantOnCell(f"edge {e.edge_id} not constant on cell {cell}")
+            if cell.tag is None and reads_tag[k]:
                 raise NonConstantOnCell(
                     f"edge {e.edge_id} reads the tag but cell {cell} has none")
             if value == 0:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .model import SystemSpec, ZeroMassState, cell_probability_rows
+from .model import SystemSpec, ZeroMassState
 
 TWO64 = 1 << 64
 U64_MAX = np.uint64(TWO64 - 1)
@@ -45,9 +45,10 @@ def draw_matrix(seed: int, n_streams: int, n_draws: int, base: int = 0) -> np.nd
 class EvalTables:
     """Per-cell probability tables for a validated system.
 
-    Cells are the common probability refinement crossed with the
-    rational/irrational tag when any edge reads it, so the edge probability
-    is a constant on every cell. `thresholds[c]` holds the integer edge
+    Cells, rows and cuts are the system's `CellIndex`: the common
+    probability refinement crossed with the rational/irrational tag when
+    any edge reads it, so the edge probability is a constant on every
+    cell. `thresholds[c]` holds the integer edge
     selection thresholds for cell c; a threshold of 2^64 (unreachable) is
     stored saturated with `never[c, k]` set.
     """
@@ -57,24 +58,21 @@ class EvalTables:
         self.edge_ids = list(spec.edge_ids)
         n_edges = len(self.edge_ids)
 
-        self.cells, self.probs = cell_probability_rows(spec)
-        self.tagged = spec.has_rationality_edges
-        self._cut_points = [c.hi for c in self.cells[:-1]]
-        self._cut_owned_left = [c.own_hi for c in self.cells[:-1]]
-        self._cut_points_f = np.array([float(t) for t in self._cut_points], dtype=np.float64)
-        self._cut_owned_left_a = np.array(self._cut_owned_left, dtype=bool)
+        self.index = spec.cell_index
+        self.tagged = self.index.tagged
 
-        n_rows = len(self.probs)       # row -> list of Fraction per edge
+        rows = self.index.rows        # row -> list of Fraction per edge
+        n_rows = len(rows)
         self.thresholds = np.zeros((n_rows, max(n_edges - 1, 1)), dtype=np.uint64)
         self.never = np.zeros_like(self.thresholds, dtype=bool)
         self.logp = np.full((n_rows, n_edges), -np.inf, dtype=np.float64)
 
-        for row, values in enumerate(self.probs):
+        for row, values in enumerate(rows):
             total = sum(values, Fraction(0))
             if total != 1:
                 cell, tag = divmod(row, 2) if self.tagged else (row, 0)
                 raise ZeroMassState(
-                    f"probabilities sum to {total} on cell {self.cells[cell]}"
+                    f"probabilities sum to {total} on cell {self.index.cells[cell]}"
                     + (" (irrational)" if tag else ""))
             cum = Fraction(0)
             for k in range(n_edges - 1):
@@ -96,45 +94,27 @@ class EvalTables:
         self.slope_nonzero = np.array([s != 0 for s in self.slopes], dtype=bool)
         self.n_edges = n_edges
 
-        # plain-Python mirrors for the scalar hot loop
-        self.cut_points_float = [float(t) for t in self._cut_points]
+        # plain-Python selectors for the scalar hot loop
         self.row_selectors = []
         for row in range(n_rows):
             sel = [(k + 1, int(self.thresholds[row, k]))
                    for k in range(n_edges - 1) if not self.never[row, k]]
             self.row_selectors.append(sel)
 
-    def _row(self, cell_index: int, tag: bool) -> int:
-        return cell_index * 2 + int(tag) if self.tagged else cell_index
-
-    # -- scalar access (exact when x is a Fraction) --------------------------
-
-    def cell_index_scalar(self, x, tag: bool) -> int:
-        # Fraction-vs-float comparisons are exact in Python, so the same
-        # code classifies both representations against exact breakpoints.
-        lo, hi = 0, len(self._cut_points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            t = self._cut_points[mid]
-            if x < t or (x == t and self._cut_owned_left[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return self._row(lo, tag)
-
     # -- vector access (float positions) -------------------------------------
 
     def rows_vector(self, positions: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        if len(self._cut_points) == 0:
+        cuts_f, owned_left = self.index.cuts_f, self.index.cuts_owned
+        if len(cuts_f) == 0:
             base = np.zeros(len(positions), dtype=np.int64)
         else:
-            base = np.searchsorted(self._cut_points_f, positions, side="right")
-            eq = np.searchsorted(self._cut_points_f, positions, side="left")
-            hit = eq < len(self._cut_points_f)
+            base = np.searchsorted(cuts_f, positions, side="right")
+            eq = np.searchsorted(cuts_f, positions, side="left")
+            hit = eq < len(cuts_f)
             at_cut = np.zeros(len(positions), dtype=bool)
-            at_cut[hit] = self._cut_points_f[eq[hit]] == positions[hit]
+            at_cut[hit] = cuts_f[eq[hit]] == positions[hit]
             owned = np.zeros(len(positions), dtype=bool)
-            owned[hit] = self._cut_owned_left_a[eq[hit]]
+            owned[hit] = owned_left[eq[hit]]
             base = base - (at_cut & owned)
         if self.tagged:
             return base * 2 + tags.astype(np.int64)

@@ -1,11 +1,13 @@
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from rdsys import systems
+from rdsys import dynamics, systems
 from rdsys.cli import run
+from rdsys.sysfile import load_system
 
 
 @pytest.fixture
@@ -157,6 +159,23 @@ class TestSimulate:
         for line in (outdir / "trace.csv").read_text().splitlines()[1:]:
             assert line.endswith(",exact")
             assert "." not in line.split(",")[2]
+
+
+    def test_trace_rendered_only_for_an_output_directory(self, step_file, tmp_path,
+                                                         monkeypatch):
+        argv = ["simulate", step_file, "--x0", "1/2", "--steps", "3000", "--seed", "5"]
+        write_csv = dynamics.Trace.write_csv
+        calls = []
+        monkeypatch.setattr(dynamics.Trace, "write_csv",
+                            lambda trace, fh: calls.append(1) or write_csv(trace, fh))
+        assert run(argv) == 0
+        assert calls == []
+        outdir = tmp_path / "lazy"
+        assert run(argv + ["-o", str(outdir)]) == 0
+        assert calls == [1]
+        expected = io.StringIO()
+        write_csv(dynamics.simulate(load_system(step_file), "1/2", 3000, 5), expected)
+        assert (outdir / "trace.csv").read_text(encoding="utf-8") == expected.getvalue()
 
 
 class TestRate:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -124,9 +125,9 @@ class TestClassFrequencies:
 
 class TestContraction:
     def test_exact_values(self):
-        assert contraction_estimate(STEP, stable_partition(STEP), 12, seed=5) == F(1, 3)
-        assert contraction_estimate(POSITIVE, stable_partition(POSITIVE), 12, seed=5) == F(1, 3)
-        assert contraction_estimate(SPLIT, stable_partition(SPLIT), 12, seed=5) == F(1, 2)
+        assert contraction_estimate(STEP, stable_partition(STEP)) == F(1, 3)
+        assert contraction_estimate(POSITIVE, stable_partition(POSITIVE)) == F(1, 3)
+        assert contraction_estimate(SPLIT, stable_partition(SPLIT)) == F(1, 2)
 
     def test_identity_maps_not_contractive(self):
         unit = Interval(F(0), F(1))
@@ -134,7 +135,24 @@ class TestContraction:
             Edge("0", AffineMap(F(1), F(0)), PiecewiseConstant(((unit, F(1, 2)),))),
             Edge("1", AffineMap(F(1), F(0)), PiecewiseConstant(((unit, F(1, 2)),))),
         ))
-        assert contraction_estimate(spec, stable_partition(spec), 6, seed=1) == 1
+        assert contraction_estimate(spec, stable_partition(spec)) == 1
+
+    @pytest.mark.parametrize("seed, maximum", [(13, F(19, 40)), (21, F(19, 40)),
+                                               (33, F(9, 20))])
+    def test_every_cell_counts(self, seed, maximum):
+        # maps x/4 and x/2 + 1/2, p0 from {1..9}/10 on 16 dyadic cells: the
+        # quotient on a cell is p0/4 + (1 - p0)/2, largest where p0 is least,
+        # and a sampler that visits 12 cells in turn misses the last ones
+        rng = random.Random(seed)
+        cells = [Interval(F(0), F(1, 16))] + [
+            Interval(F(j, 16), F(j + 1, 16), False, True) for j in range(1, 16)]
+        p0 = [F(rng.randint(1, 9), 10) for _ in cells]
+        spec = SystemSpec(domain=Interval(F(0), F(1)), edges=(
+            Edge("0", AffineMap(F(1, 4), F(0)), PiecewiseConstant(tuple(zip(cells, p0)))),
+            Edge("1", AffineMap(F(1, 2), F(1, 2)),
+                 PiecewiseConstant(tuple((c, 1 - p) for c, p in zip(cells, p0))))))
+        assert maximum == F(1, 2) - min(p0) / 4
+        assert contraction_estimate(spec, stable_partition(spec)) == maximum
 
     def test_degenerate_only_raises(self):
         from rdsys.partition import Cell, IntervalPartition
@@ -142,7 +160,7 @@ class TestContraction:
                                  cells=[Cell(Interval(F(1, 2), F(1, 2)))],
                                  provenance={}, tagged=False)
         with pytest.raises(DegenerateCellOnly):
-            contraction_estimate(STEP, part, 4, seed=1)
+            contraction_estimate(STEP, part)
 
 
 class TestW1:
