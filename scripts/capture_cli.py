@@ -39,6 +39,9 @@ XI_PAIRS = {
     "constant_half": (("1/4", "3/4"), ("0", "1"), ("1/2", "1/2")),
 }
 DEEP_SYSTEM = "positive_step"
+# a depth-1 exact scan finds no separating word for 1/4 and 3/4 here, so
+# the word comes from a sampled path
+SAMPLED_SYSTEM = "step_ninth"
 
 
 def runs(name: str, path: str):
@@ -58,6 +61,11 @@ def runs(name: str, path: str):
         yield "xi_exact14", ["xi", path, "--x", x, "--y", y, "--seed", SEED,
                              "--samples", "300", "--n-mc", "300", "--n-exact", "14",
                              "--json"]
+    if name == SAMPLED_SYSTEM:
+        yield "xi_sampled_witness", ["xi", path, "--x", "1/4", "--y", "3/4", "--seed", SEED,
+                                     "--samples", "300", "--n-mc", "300", "--n-exact", "1",
+                                     "--json"]
+        yield "rate_default", ["rate", path, "--seed", SEED, "--json"]
     yield "partition", ["partition", path, "--seed", SEED, "--json"]
     yield "partition_lift10", ["partition", path, "--lift-depth", "10", "--json"]
     yield "graph", ["graph", path, "--seed", SEED, "--json"]

@@ -75,12 +75,19 @@ def _jsonable(value):
 UNUSED_SEED = "accepted and ignored: every verdict is exact, nothing is sampled"
 
 
-def _depth(text: str) -> int:
-    """A non-negative int, for the depth options."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"depth must be >= 0, got {value}")
-    return value
+def _at_least(least: int, what: str):
+    """An argparse type: an int >= `least`, named `what` in the error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
+
+
+_depth = _at_least(0, "depth")
+_seed = _at_least(0, "seed")
 
 
 def _add_common(sp, *, seeded: bool) -> None:
@@ -88,7 +95,7 @@ def _add_common(sp, *, seeded: bool) -> None:
     sp.add_argument("-o", "--outdir", default=None, help="directory for output files")
     sp.add_argument("--json", action="store_true", help="also emit a JSON report")
     if seeded:
-        sp.add_argument("--seed", type=int, required=True,
+        sp.add_argument("--seed", type=_seed, required=True,
                         help="seed (mandatory; no wall-clock default)")
 
 
@@ -113,26 +120,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--n-exact", type=_depth, default=10)
-    sp.add_argument("--n-mc", type=int, default=2000)
-    sp.add_argument("--samples", type=int, default=4000)
+    sp.add_argument("--n-mc", type=_at_least(1, "n-mc"), default=2000)
+    sp.add_argument("--samples", type=_at_least(1, "samples"), default=4000)
     sp.add_argument("--drift-z", type=float, default=4.0)
     sp.add_argument("--word-budget", type=int, default=measures.DEFAULT_WORD_BUDGET)
 
     sp = sub.add_parser("partition", help="stable partition and merged classes")
     _add_common(sp, seeded=False)
-    sp.add_argument("--seed", type=int, help=UNUSED_SEED)
+    sp.add_argument("--seed", type=_seed, help=UNUSED_SEED)
     sp.add_argument("--refine-cap", type=int, default=256)
     sp.add_argument("--lift-depth", type=_depth, default=6)
 
     sp = sub.add_parser("graph", help="digraph flags, stationary weights, moments")
     _add_common(sp, seeded=False)
-    sp.add_argument("--seed", type=int, help=UNUSED_SEED)
+    sp.add_argument("--seed", type=_seed, help=UNUSED_SEED)
     sp.add_argument("--refine-cap", type=int, default=256)
 
     sp = sub.add_parser("simulate", help="simulate a trace and report averages")
     _add_common(sp, seeded=True)
     sp.add_argument("--x0", required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_at_least(0, "steps"), required=True)
     sp.add_argument("--f", action="append", default=[],
                     help="test function poly:c0,c1,... or ind:lo,hi,own_lo,own_hi")
 
@@ -140,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seeded=True)
     sp.add_argument("--b", default=None,
                     help="step probability for the comparison bound max(1/3,b)^(1/2)")
-    sp.add_argument("--cloud-size", type=int, default=4000)
-    sp.add_argument("--steps", type=int, default=40)
-    sp.add_argument("--burn", type=int, default=64)
+    sp.add_argument("--cloud-size", type=_at_least(1, "cloud-size"), default=4000)
+    sp.add_argument("--steps", type=_at_least(0, "steps"), default=40)
+    sp.add_argument("--burn", type=_at_least(0, "burn"), default=64)
     sp.add_argument("--start", default="1", help="start point for the pushed cloud")
     return ap
 

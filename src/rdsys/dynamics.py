@@ -20,8 +20,8 @@ import numpy as np
 
 from . import sampling
 from .model import (DegenerateCellOnly, EmptySamples, EmptyTrace, Interval,
-                    NonConstantOnCell, Point, PointLike, RdsError, SystemSpec,
-                    as_point, format_rational, parse_rational)
+                    NonConstantOnCell, OutOfDomain, Point, PointLike, RdsError,
+                    SystemSpec, as_point, format_rational, parse_rational)
 
 DENOMINATOR_BIT_CAP = 4096
 
@@ -296,21 +296,32 @@ def w1_distance(samples_a, samples_b) -> float:
 def push_cloud(spec: SystemSpec, cloud: np.ndarray, steps: int, seed: int, *,
                record: bool = False):
     """Advance every atom `steps` steps; atom i consumes the first draws of
-    substream i, so scheduling cannot change the result."""
-    tables = sampling.EvalTables(spec)
+    substream i, so scheduling cannot change the result. An atom outside
+    the domain, or NaN, raises `OutOfDomain`."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     positions = np.asarray(cloud, dtype=np.float64)
-    paths = sampling.VectorPaths(tables, positions, np.zeros(len(positions), dtype=bool))
-    draws = sampling.draw_matrix(seed, len(positions), steps)
-    history = [paths.positions.copy()] if record else None
-    for k in range(steps):
-        paths.step(draws[:, k])
+    if positions.size:
+        if np.isnan(positions).any():
+            raise OutOfDomain(f"cloud atom nan outside domain {spec.domain}")
+        for atom in (positions.min(), positions.max()):
+            if not spec.domain.contains_value(float(atom)):
+                raise OutOfDomain(f"cloud atom {float(atom)!r} outside domain {spec.domain}")
+    tables = sampling.EvalTables(spec)
+    paths = sampling.VectorPaths(tables, positions, False,
+                                 sampling.LaneStreams(seed, np.arange(len(positions))))
+    history = [paths.positions[0].copy()] if record else None
+    for _ in range(steps):
+        paths.step()
         if record:
-            history.append(paths.positions.copy())
-    return history if record else paths.positions
+            history.append(paths.positions[0].copy())
+    return history if record else paths.positions[0]
 
 
 def stationary_cloud(spec: SystemSpec, size: int, burn: int, seed: int) -> np.ndarray:
     """Reference sample: a uniform grid cloud pushed `burn` steps."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     grid = (np.arange(size) + 0.5) / size
     lo, hi = float(spec.domain.lo), float(spec.domain.hi)
     return push_cloud(spec, lo + (hi - lo) * grid, burn, seed)
@@ -348,6 +359,10 @@ def convergence_rate(spec: SystemSpec, start_cloud, reference_cloud,
     resamples of the reference), and stop at a zero distance. A zero
     ratio makes the geometric mean 0.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if bootstrap < 1:
+        raise ValueError(f"bootstrap must be >= 1, got {bootstrap}")
     ref = np.asarray(reference_cloud, dtype=np.float64)
     start = np.asarray(start_cloud, dtype=np.float64)
     if ref.size == 0 or start.size == 0:

@@ -336,42 +336,44 @@ def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiPar
             for n in range(1, n_exact + 1) for i, M in enumerate(grid)}, witness
 
 
-def _mc_direction(spec: SystemSpec, tables, start: Point, other: Point,
-                  params: XiParams, stream_base: int):
-    """Sample paths from `start` under its own measure, tracking the log
-    likelihood ratio against the measure from `other` driven by the same
-    edge labels. Returns per-path mean increments, the infinity mask, the
-    final log ratios, and the label history."""
+def _mc_ensemble(tables, xp: Point, yp: Point, params: XiParams):
+    """Both Monte Carlo directions as one lockstep ensemble of 2n lanes.
+    Lane i < n samples from x under its own measure and lane n + i from
+    y; each tracks the log likelihood ratio against the other point's
+    measure, whose path (the shadow) takes the same edge labels. Lane j
+    draws from substream j. Returns the final log ratios, the infinity
+    mask and, per direction, the first (lane within the direction, step)
+    at which a ratio became infinite, or None."""
     n, m = params.num_samples, params.n_mc
-    draws = sampling.draw_matrix(params.seed, n, m, base=stream_base)
-
-    px_paths = sampling.VectorPaths(tables, *sampling.start_arrays(start.value, start.irrational_tag, n))
-    py_paths = sampling.VectorPaths(tables, *sampling.start_arrays(other.value, other.irrational_tag, n))
-    log_ratio = np.zeros(n, dtype=np.float64)
-    inf_mask = np.zeros(n, dtype=bool)
-    labels = np.zeros((n, m), dtype=np.uint8)
-    first_inf = None  # (sample, step)
+    x, y = float(xp.value), float(yp.value)
+    positions = np.repeat([[x, y], [y, x]], n, axis=1)
+    tags = np.repeat([[xp.irrational_tag, yp.irrational_tag],
+                      [yp.irrational_tag, xp.irrational_tag]], n, axis=1)
+    paths = sampling.VectorPaths(tables, positions, tags,
+                                 sampling.LaneStreams(params.seed, np.arange(2 * n)))
+    logp, n_edges = tables.logp_flat, tables.n_edges
+    log_ratio = np.zeros(2 * n, dtype=np.float64)
+    inf_mask = np.zeros(2 * n, dtype=bool)
+    first = [None, None]
+    # a ratio turns +inf at its first -inf shadow increment and stays +inf,
+    # since the sampled path's own increment is always finite
+    can_vanish = bool(np.isneginf(logp).any())
 
     for k in range(m):
-        u = draws[:, k]
-        rows_x = px_paths.rows()
-        idx = px_paths.select(rows_x, u)
-        rows_y = py_paths.rows()
-        labels[:, k] = idx
-        lx = tables.logp[rows_x, idx]
-        ly = tables.logp[rows_y, idx]
-        newly_inf = np.isneginf(ly) & ~inf_mask
-        if newly_inf.any() and first_inf is None:
-            first_inf = (int(np.argmax(newly_inf)), k)
-        inf_mask |= np.isneginf(ly)
-        with np.errstate(invalid="ignore"):
-            log_ratio = np.where(inf_mask, np.inf, log_ratio + lx - ly)
-        px_paths.apply(idx)
-        py_paths.apply(idx)
-
-    finite = ~inf_mask
-    per_step = log_ratio[finite] / m if finite.any() else np.empty(0)
-    return per_step, inf_mask, log_ratio, labels, first_inf
+        rows, idx = paths.step()
+        lx, ly = logp[rows * n_edges + idx]
+        if can_vanish:
+            neg = ly == -np.inf
+            if None in first and neg.any():
+                newly = neg & ~inf_mask
+                for h in (0, 1):
+                    half = newly[h * n:(h + 1) * n]
+                    if first[h] is None and half.any():
+                        first[h] = (int(np.argmax(half)), k)
+            inf_mask |= neg
+        log_ratio += lx
+        log_ratio -= ly
+    return log_ratio, inf_mask, first
 
 
 def _drift_stats(per_step: np.ndarray):
@@ -394,8 +396,9 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     threshold, in both directions; any positive-mass word whose opposite
     mass is zero is an exact singularity certificate, and nothing else
     is: tail masses near 1 at every threshold only count as statistical
-    evidence. Monte Carlo phase: seeded per-sample substreams estimate the
-    per-step log-ratio drift (positive drift means the ratios diverge) and
+    evidence. Monte Carlo phase: one lockstep ensemble of seeded sample
+    paths in both directions (`_mc_ensemble`) estimates the per-step
+    log-ratio drift (positive drift means the ratios diverge) and
     large-depth tail frequencies. When the system has a stable partition,
     the exact verdict for the two points' cells (`partition.pair_certificate`)
     comes before the statistical rules: a separating word certifies
@@ -406,6 +409,10 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     params = params or XiParams()
     if params.seed is None:
         raise ValueError("xi_estimate requires an explicit seed")
+    sampling.check_seed(params.seed)
+    for name in ("num_samples", "n_mc"):
+        if getattr(params, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(params, name)}")
     xp, yp = as_point(x), as_point(y)
     spec.require_in_domain(xp)
     spec.require_in_domain(yp)
@@ -416,31 +423,29 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     witness = witness_x if witness_x is not None else witness_y
 
     tables = sampling.EvalTables(spec)
-    fwd, inf_fwd, logr_fwd, labels_fwd, first_fwd = _mc_direction(
-        spec, tables, xp, yp, params, 0)
-    rev, inf_rev, logr_rev, labels_rev, first_rev = _mc_direction(
-        spec, tables, yp, xp, params, params.num_samples)
-
-    drift, stderr, z_fwd = _drift_stats(fwd)
-    drift_rev, stderr_rev, z_rev = _drift_stats(rev)
+    half = params.num_samples
+    log_ratio, inf_mask, first = _mc_ensemble(tables, xp, yp, params)
+    fwd, rev = log_ratio[:half], log_ratio[half:]
+    drift, stderr, z_fwd = _drift_stats(fwd[~inf_mask[:half]] / params.n_mc)
+    drift_rev, stderr_rev, z_rev = _drift_stats(rev[~inf_mask[half:]] / params.n_mc)
 
     grid = sorted(Fraction(M) for M in params.m_grid)
     mc_tails = {}
     for M in grid:
         logm = math.log(M)
-        mc_tails[M] = (float(np.mean(logr_fwd > logm))
-                       + float(np.mean(logr_rev > logm)))
-    inf_fraction = float((np.sum(inf_fwd) + np.sum(inf_rev))
-                         / (2 * params.num_samples))
+        mc_tails[M] = float(np.mean(fwd > logm)) + float(np.mean(rev > logm))
+    inf_fraction = float(np.count_nonzero(inf_mask) / (2 * half))
 
-    # a sampled infinite ratio names a concrete word; verify it exactly
+    # a sampled infinite ratio names a concrete word: replay its lane and
+    # verify the word exactly
     if witness is None:
-        for (first, start_pt, other_pt, labels) in (
-                (first_fwd, xp, yp, labels_fwd), (first_rev, yp, xp, labels_rev)):
-            if first is None:
+        for h, (start_pt, other_pt) in enumerate(((xp, yp), (yp, xp))):
+            if first[h] is None:
                 continue
-            i, k = first
-            word = tuple(tables.edge_ids[j] for j in labels[i, :k + 1])
+            i, k = first[h]
+            word = tuple(tables.edge_ids[j] for j in sampling.replay_lane(
+                tables, start_pt.value, start_pt.irrational_tag, params.seed,
+                h * half + i, k + 1))
             if (cylinder_measure(spec, start_pt, word) > 0
                     and cylinder_measure(spec, other_pt, word) == 0):
                 witness = word

@@ -678,7 +678,8 @@ def validate_system(spec: SystemSpec) -> ValidationReport:
     cell_sums = []
     coverage_broken = any(i.kind == "OverlappingPieces" for i in issues)
     if not coverage_broken:
-        cells, rows = cell_probability_rows(spec)
+        # with coverage intact the rows exist; the index keeps them for later
+        cells, rows = spec.cell_index.cells, spec.cell_index.rows
         tags = (False, True) if spec.has_rationality_edges else (False,)
         for (cell, tag), values in zip(((c, t) for c in cells for t in tags), rows):
             total = sum(values, Fraction(0))

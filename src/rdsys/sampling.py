@@ -3,7 +3,9 @@
 Reproducibility contract (also documented in the README):
 
 * substream i of seed s is `PCG64(SeedSequence(s, spawn_key=(i,)))`;
-* each path consumes one uniform 64-bit integer per step;
+* each path consumes one uniform 64-bit integer per step, the raw PCG64
+  output (the word `Generator.integers(0, 2**64 - 1, endpoint=True,
+  dtype=uint64)` returns);
 * edge k is selected at a point with cumulative probabilities c_1 <= ...
   <= c_m exactly when u/2^64 lands in [c_{k-1}, c_k), implemented with the
   precomputed integer thresholds T_k = ceil(c_k * 2^64).
@@ -13,11 +15,25 @@ tracked in float64 inside the vectorized sampler; only the interval-cell
 lookup of a position can be off near a breakpoint (within rounding of the
 orbit), never the probabilities attached to the cell, and never the
 rationality tag, which propagates exactly.
+
+The Monte Carlo kernel is one lockstep ensemble of lanes:
+
+* `LaneStreams` seeds every lane of a call at once. The lanes share the
+  seed and differ only in the spawn key, so the `SeedSequence` hash runs
+  once over numpy arrays of keys, and the 128-bit PCG64 states of all
+  lanes then advance together, one word per lane per step. No per-lane
+  generator object and no (lanes, steps) draw matrix is made.
+* `VectorPaths` holds positions of shape (k, lanes). Row 0 leads: its
+  cell and the lane's draw pick the edge. Further rows shadow it: they
+  take the same edge from their own positions (the likelihood-ratio
+  partner of `measures.xi_estimate`). Cells come from one `searchsorted`
+  against `EvalTables.lookup`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -29,18 +45,154 @@ TWO64 = 1 << 64
 U64_MAX = np.uint64(TWO64 - 1)
 
 
+def check_seed(seed) -> int:
+    """The seed as an int; a negative seed raises ValueError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def substream(seed: int, index: int) -> Generator:
-    return Generator(PCG64(SeedSequence(seed, spawn_key=(index,))))
+    return Generator(PCG64(SeedSequence(check_seed(seed), spawn_key=(index,))))
 
 
-def draw_matrix(seed: int, n_streams: int, n_draws: int, base: int = 0) -> np.ndarray:
-    """uint64 draws, row i = the first n_draws outputs of substream base+i."""
-    out = np.empty((n_streams, n_draws), dtype=np.uint64)
-    for i in range(n_streams):
-        out[i] = substream(seed, base + i).integers(0, TWO64 - 1, endpoint=True,
-                                                    dtype=np.uint64, size=n_draws)
-    return out
+# ---------------------------------------------------------------------------
+# lane streams: SeedSequence and PCG64 over arrays of lanes
 
+# numpy's SeedSequence hash constants (pool of four 32-bit words)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit words
+_MUL_HI, _MUL_LO = 2549297995355413924, 4865540595714422341
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _spawn_words(seed: int, keys: np.ndarray) -> np.ndarray:
+    """Shape (4, lanes): `SeedSequence(seed, spawn_key=(k,))
+    .generate_state(4, uint64)` for every key k (0 <= k < 2^32)."""
+    seed = check_seed(seed)
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size and (keys.min() < 0 or keys.max() > _MASK32):
+        raise ValueError("lane keys must lie in [0, 2^32)")
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    # a spawn key pads the seed's words to the pool size, then follows them
+    entropy += [0] * (_POOL - len(entropy))
+    lanes = np.ones(len(keys), dtype=np.uint32)
+    words = [lanes * w for w in entropy] + [keys.astype(np.uint32)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(words[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.array([state[2 * j] | (state[2 * j + 1] << np.uint64(32))
+                     for j in range(_POOL)], dtype=np.uint64)
+
+
+class LaneStreams:
+    """Substreams `keys` of `seed`, advanced in lockstep: each `draw()`
+    returns the next word of every lane, the word `substream(seed, k)`
+    gives at the same position.
+
+    The state of lane k is PCG64's 128-bit LCG state, held as high and
+    low uint64 words, seeded from `_spawn_words` as `PCG64` seeds itself.
+    Each draw steps the LCG and applies PCG64's XSL-RR output function.
+    """
+
+    def __init__(self, seed: int, keys):
+        w0, w1, w2, w3 = _spawn_words(seed, keys)
+        one = np.uint64(1)
+        self.inc_hi = (w2 << one) | (w3 >> np.uint64(63))
+        self.inc_lo = (w3 << one) | one
+        # state = (inc + seed) * MUL + inc, where seed = w0:w1
+        self.lo = w1 + self.inc_lo
+        self.hi = w0 + self.inc_hi + (self.lo < w1)
+        n = len(w0)
+        self._a0, self._a1, self._p, self._q, self._r, self._out = (
+            np.empty(n, dtype=np.uint64) for _ in range(6))
+        self._step()
+
+    def _step(self) -> None:
+        """state = state * MUL + inc (mod 2^128), in place."""
+        hi, lo = self.hi, self.lo
+        a0, a1, p, q, r = self._a0, self._a1, self._p, self._q, self._r
+        mul, add, shr = np.multiply, np.add, np.right_shift
+        m32, s32 = np.uint64(_MASK32), np.uint64(32)
+        b0, b1 = np.uint64(_MUL_LO & _MASK32), np.uint64(_MUL_LO >> 32)
+        # q = high word of lo * MUL_LO, from 32-bit halves
+        np.bitwise_and(lo, m32, out=a0)
+        shr(lo, s32, out=a1)
+        mul(a0, b0, out=p)
+        shr(p, s32, out=p)
+        mul(a1, b0, out=q)
+        add(q, p, out=q)              # a1*b0 + (a0*b0 >> 32) < 2^64
+        np.bitwise_and(q, m32, out=r)
+        mul(a0, b1, out=p)
+        add(r, p, out=r)              # (q & m32) + a0*b1 < 2^64
+        shr(q, s32, out=q)
+        shr(r, s32, out=r)
+        add(q, r, out=q)
+        mul(a1, b1, out=p)
+        add(q, p, out=q)
+        # hi = q + lo*MUL_HI + hi*MUL_LO + inc_hi + carry; lo = lo*MUL_LO + inc_lo
+        mul(hi, np.uint64(_MUL_LO), out=hi)
+        add(hi, q, out=hi)
+        mul(lo, np.uint64(_MUL_HI), out=p)
+        add(hi, p, out=hi)
+        add(hi, self.inc_hi, out=hi)
+        mul(lo, np.uint64(_MUL_LO), out=lo)
+        add(lo, self.inc_lo, out=lo)
+        add(hi, lo < self.inc_lo, out=hi, casting="unsafe")
+
+    def draw(self) -> np.ndarray:
+        """The next word of every lane, in a buffer the next call reuses."""
+        self._step()
+        x, rot, out = self._p, self._q, self._out
+        np.bitwise_xor(self.hi, self.lo, out=x)
+        np.right_shift(self.hi, np.uint64(58), out=rot)
+        np.right_shift(x, rot, out=out)
+        np.negative(rot, out=rot)
+        np.bitwise_and(rot, np.uint64(63), out=rot)
+        np.left_shift(x, rot, out=x)
+        np.bitwise_or(out, x, out=out)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# tables and the lockstep kernel
 
 class EvalTables:
     """Per-cell probability tables for a validated system.
@@ -50,7 +202,11 @@ class EvalTables:
     any edge reads it, so the edge probability is a constant on every
     cell. `thresholds[c]` holds the integer edge
     selection thresholds for cell c; a threshold of 2^64 (unreachable) is
-    stored saturated with `never[c, k]` set.
+    stored saturated with `never[c, k]` set, and `cap[c]` counts the
+    thresholds that are not. `logp_flat[row * n_edges + k]` is log p_k.
+    `lookup` is the float cut table of the one-`searchsorted` cell lookup:
+    the float cut values, where the first cut of each float value that
+    its left cell owns moves up to the next float.
     """
 
     def __init__(self, spec: SystemSpec):
@@ -92,7 +248,20 @@ class EvalTables:
         self.slopes_f = np.array([float(s) for s in self.slopes], dtype=np.float64)
         self.intercepts_f = np.array([float(c) for c in self.intercepts], dtype=np.float64)
         self.slope_nonzero = np.array([s != 0 for s in self.slopes], dtype=bool)
+        self.tags_fall = not self.slope_nonzero.all()   # a constant map drops the tag
         self.n_edges = n_edges
+
+        # vector kernel: threshold columns, the cap where a threshold is
+        # unreachable, flat log-probabilities and the float cut table
+        self.threshold_columns = [np.ascontiguousarray(self.thresholds[:, k])
+                                  for k in range(n_edges - 1)]
+        self.cap = np.count_nonzero(~self.never, axis=1)
+        self.capped = bool(self.never.any())
+        self.logp_flat = self.logp.ravel()
+        cuts_f, owned = self.index.cuts_f, self.index.cuts_owned
+        first = np.ones(len(cuts_f), dtype=bool)
+        first[1:] = cuts_f[1:] != cuts_f[:-1]
+        self.lookup = np.sort(np.where(owned & first, np.nextafter(cuts_f, np.inf), cuts_f))
 
         # plain-Python selectors for the scalar hot loop
         self.row_selectors = []
@@ -101,59 +270,62 @@ class EvalTables:
                    for k in range(n_edges - 1) if not self.never[row, k]]
             self.row_selectors.append(sel)
 
-    # -- vector access (float positions) -------------------------------------
-
-    def rows_vector(self, positions: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        cuts_f, owned_left = self.index.cuts_f, self.index.cuts_owned
-        if len(cuts_f) == 0:
-            base = np.zeros(len(positions), dtype=np.int64)
-        else:
-            base = np.searchsorted(cuts_f, positions, side="right")
-            eq = np.searchsorted(cuts_f, positions, side="left")
-            hit = eq < len(cuts_f)
-            at_cut = np.zeros(len(positions), dtype=bool)
-            at_cut[hit] = cuts_f[eq[hit]] == positions[hit]
-            owned = np.zeros(len(positions), dtype=bool)
-            owned[hit] = owned_left[eq[hit]]
-            base = base - (at_cut & owned)
-        if self.tagged:
-            return base * 2 + tags.astype(np.int64)
-        return base
-
 
 class VectorPaths:
-    """Lockstep ensemble of sample paths driven by precomputed uint64 draws."""
+    """Lockstep ensemble of sample paths: positions and tags of shape
+    (k, lanes), where row 0 leads with the draws of `streams` and the
+    other rows take the edges it takes."""
 
-    def __init__(self, tables: EvalTables, positions: np.ndarray, tags: np.ndarray):
+    def __init__(self, tables: EvalTables, positions, tags, streams: LaneStreams):
         self.tables = tables
-        self.positions = positions.astype(np.float64).copy()
-        self.tags = tags.astype(bool).copy()
+        self.positions = np.array(positions, dtype=np.float64, ndmin=2)
+        self.tags = np.broadcast_to(np.asarray(tags, dtype=bool),
+                                    self.positions.shape).copy()
+        self.streams = streams
 
     def rows(self) -> np.ndarray:
-        return self.tables.rows_vector(self.positions, self.tags)
+        """The probability row of every position."""
+        t = self.tables
+        if not len(t.lookup):
+            return (self.tags if t.tagged else np.zeros_like(self.tags)).astype(np.intp)
+        rows = np.searchsorted(t.lookup, self.positions, side="right")
+        if t.tagged:
+            rows *= 2
+            rows += self.tags
+        return rows
 
     def select(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Edge index per path for draws u at the given probability rows."""
+        """Edge index per lane for draws u at the leading rows: the number
+        of reachable thresholds at or below u."""
         t = self.tables
-        idx = np.zeros(len(self.positions), dtype=np.int64)
-        for k in range(t.n_edges - 1):
-            chosen = (u >= t.thresholds[rows, k]) & ~t.never[rows, k]
-            idx = np.where(chosen, k + 1, idx)
+        idx = np.zeros(len(u), dtype=np.intp)
+        for column in t.threshold_columns:
+            idx += u >= column[rows]
+        if t.capped:
+            np.minimum(idx, t.cap[rows], out=idx)
         return idx
 
     def apply(self, idx: np.ndarray) -> None:
         t = self.tables
-        self.positions = t.slopes_f[idx] * self.positions + t.intercepts_f[idx]
-        self.tags &= t.slope_nonzero[idx]
+        self.positions *= t.slopes_f[idx]
+        self.positions += t.intercepts_f[idx]
+        if t.tags_fall:
+            self.tags &= t.slope_nonzero[idx]
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """Advance every path one step with its draw; returns edge indexes."""
-        idx = self.select(self.rows(), u)
+    def step(self):
+        """Advance every lane one step with its next draw; returns the rows
+        of the positions before the step and the edge index per lane."""
+        rows = self.rows()
+        idx = self.select(rows[0], self.streams.draw())
         self.apply(idx)
-        return idx
+        return rows, idx
 
 
-def start_arrays(point_value, point_tag: bool, n: int):
-    positions = np.full(n, float(point_value), dtype=np.float64)
-    tags = np.full(n, bool(point_tag), dtype=bool)
-    return positions, tags
+def replay_lane(tables: EvalTables, point_value, point_tag: bool, seed: int,
+                key: int, steps: int) -> list:
+    """The edge indexes of the first `steps` steps of the path from the
+    point on substream `key`: the labels lane `key` of a lockstep ensemble
+    draws, recomputed alone."""
+    paths = VectorPaths(tables, [float(point_value)], point_tag,
+                        LaneStreams(seed, [key]))
+    return [int(paths.step()[1][0]) for _ in range(steps)]

@@ -123,6 +123,35 @@ def test_negative_depth_is_usage_error(step_file, argv, capsys):
     assert "depth must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--samples", "-2"],
+     "samples must be >= 1, got -2"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--samples", "0"],
+     "samples must be >= 1, got 0"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--n-mc", "0"],
+     "n-mc must be >= 1, got 0"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["rate", "--seed", "1", "--steps", "-1"], "steps must be >= 0, got -1"),
+    (["rate", "--seed", "1", "--burn", "-1"], "burn must be >= 0, got -1"),
+    (["rate", "--seed", "1", "--cloud-size", "0"], "cloud-size must be >= 1, got 0"),
+    (["rate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["simulate", "--x0", "0", "--steps", "3", "--seed", "-1"], "seed must be >= 0"),
+    (["simulate", "--x0", "0", "--steps", "-1", "--seed", "1"], "steps must be >= 0"),
+    (["partition", "--seed", "-1"], "seed must be >= 0"),
+])
+def test_bad_sampler_size_or_seed_is_usage_error(step_file, argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv[:1] + [step_file] + argv[1:])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_rate_start_outside_domain_is_invalid_input(step_file, capsys):
+    assert run(["rate", step_file, "--seed", "1", "--start", "5", "--cloud-size", "20",
+                "--steps", "2", "--burn", "2"]) == 1
+    assert "outside domain" in capsys.readouterr().err
+
+
 class TestGraph:
     def test_step_graph(self, step_file, tmp_path, capsys):
         outdir = tmp_path / "g"
