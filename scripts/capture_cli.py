@@ -71,6 +71,9 @@ def runs(name: str, path: str):
     yield "graph", ["graph", path, "--seed", SEED, "--json"]
     yield "simulate", ["simulate", path, "--x0", "1/3", "--steps", "2000",
                        "--seed", SEED, "--f", "poly:0,1", "--json"]
+    # long enough for the positions to turn float on every bundled system
+    yield "simulate_float", ["simulate", path, "--x0", "1/3", "--steps", "20000",
+                             "--seed", SEED, "--f", "poly:0,1", "--json"]
     yield "rate", ["rate", path, "--seed", SEED, "--b", "1/2", "--cloud-size", "500",
                    "--steps", "12", "--burn", "32", "--json"]
 

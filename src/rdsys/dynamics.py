@@ -2,14 +2,16 @@
 
 Trace positions stay exact rationals until their denominators exceed a
 bit cap, then continue in float64; probabilities and edge draws remain
-exact throughout (cell lookup compares positions against exact
-breakpoints, which Python evaluates exactly even for floats). Test
+exact throughout. An exact position finds its cell by exact bisection on
+the cuts, a float one on the float cut table of the same `Cuts`, so only
+a float position within rounding of a cut can be misfiled. Test
 functions are restricted to polynomials and interval indicators with
 rational data so averages over exact prefixes stay exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -136,10 +138,8 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
     slope_nonzero = [s != 0 for s in slopes]
     edge_ids = tables.edge_ids
     selectors = tables.row_selectors
-    row_of = tables.index.row_of
-    cuts_f = tables.index.cuts_f.tolist()
-    owned_left = tables.index.cuts_owned.tolist()
-    tagged = tables.tagged
+    cuts = tables.index.cuts
+    row_of, floats, tagged = cuts.row_of, cuts.table.tolist(), cuts.tagged
 
     done = 0
     while done < steps:
@@ -151,11 +151,7 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
                 # exact cell lookup against rational breakpoints
                 row = row_of(x.numerator, x.denominator, tag)
             else:
-                # float positions compare against float breakpoints; only a
-                # position within rounding of a breakpoint can be misfiled
-                pos = bisect_right(cuts_f, x)
-                if pos > 0 and cuts_f[pos - 1] == x and owned_left[pos - 1]:
-                    pos -= 1
+                pos = bisect_right(floats, x)
                 row = pos * 2 + tag if tagged else pos
             idx = 0
             for k, threshold in selectors[row]:
@@ -180,6 +176,16 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
                  tags=tags, exact_steps=exact_steps)
 
 
+def _float_values(trace: Trace) -> np.ndarray:
+    """The trace positions in float64, in one pass with no list of the
+    whole trace: the exact prefix converted value by value, the float
+    suffix as it is."""
+    k = trace.exact_steps + 1
+    return np.fromiter(itertools.chain(map(float, trace.values[:k]),
+                                       itertools.islice(trace.values, k, None)),
+                       dtype=np.float64, count=len(trace.values))
+
+
 def ergodic_average(trace: Trace, f: TestFunction):
     """Mean of f over the trace positions.
 
@@ -194,7 +200,7 @@ def ergodic_average(trace: Trace, f: TestFunction):
     if trace.exact_steps + 1 >= n:
         return sum((Fraction(f(v)) for v in trace.values), Fraction(0)) / n
 
-    values_f = np.array([float(v) for v in trace.values], dtype=np.float64)
+    values_f = _float_values(trace)
     if isinstance(f, Polynomial):
         acc = np.zeros(n, dtype=np.float64)
         for c in reversed(f.coeffs):
@@ -210,33 +216,12 @@ def ergodic_average(trace: Trace, f: TestFunction):
 def class_frequencies(trace: Trace, fp) -> dict:
     """Visit frequency of each merged class along the trace (sums to 1).
 
-    Positions are classified in bulk against the cell boundaries; float
-    positions can only be misfiled within rounding error of a boundary.
+    Positions are filed in bulk, in float64, by the stable partition's
+    `Cuts`; a position can only be misfiled within rounding error of a cut.
     """
-    cells = fp.chain.cells
-    state_class = fp.state_class
     n = len(trace.values)
-    values_f = np.array([float(v) for v in trace.values], dtype=np.float64)
-
-    if fp.partition.tagged:
-        tags = np.array(trace.tags, dtype=bool)
-        irr_state = next(s for s, c in enumerate(cells) if c.tag == "irrational")
-        rat_state = next(s for s, c in enumerate(cells) if c.tag == "rational")
-        states = np.where(tags, irr_state, rat_state)
-    else:
-        cuts = np.array([float(c.interval.hi) for c in cells[:-1]], dtype=np.float64)
-        owned = np.array([c.interval.own_hi for c in cells[:-1]], dtype=bool)
-        states = np.searchsorted(cuts, values_f, side="right")
-        if cuts.size:
-            eq = np.searchsorted(cuts, values_f, side="left")
-            hit = eq < cuts.size
-            at = np.zeros(n, dtype=bool)
-            at[hit] = cuts[eq[hit]] == values_f[hit]
-            own = np.zeros(n, dtype=bool)
-            own[hit] = owned[eq[hit]]
-            states = states - (at & own)
-
-    class_of = np.array([state_class[s] for s in range(len(cells))])
+    states = fp.partition.cuts.rows(_float_values(trace), trace.tags)
+    class_of = np.array([fp.state_class[s] for s in range(len(fp.chain.cells))])
     counts = np.bincount(class_of[states], minlength=len(fp.classes))
     return {info.class_id: Fraction(int(counts[info.class_id]), n)
             for info in fp.classes}
@@ -262,7 +247,7 @@ def contraction_estimate(spec: SystemSpec, part) -> Fraction:
     slopes = [abs(e.map.slope) for e in spec.edges]
     worst = Fraction(0)
     for cell in cells:
-        row = index.row_of_interval(cell.interval, cell.tag == "irrational")
+        row = index.cuts.row_of_interval(cell.interval, cell.tag == "irrational")
         if row is None:
             raise NonConstantOnCell(f"probabilities are not constant on cell {cell}")
         worst = max(worst, sum((p * s for p, s in zip(index.rows[row], slopes)),

@@ -59,7 +59,7 @@ def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: in
     if yp is not None:
         spec.require_in_domain(yp)
     index = spec.cell_index
-    scale, probs, steps, row_of = index.scale, index.numerators, index.steps, index.row_of
+    scale, probs, steps, row_of = index.scale, index.numerators, index.steps, index.cuts.row_of
 
     def state(p: Point):
         return p.value.numerator, p.value.denominator, p.irrational_tag
@@ -112,7 +112,7 @@ def cylinder_measure(spec: SystemSpec, x: PointLike, word: Word) -> Fraction:
         k = index.position.get(edge_id)
         if k is None:
             spec.edge(edge_id)   # raises UnknownEdge
-        factor = index.numerators[index.row_of(n, d, tag)][k]
+        factor = index.numerators[index.cuts.row_of(n, d, tag)][k]
         if factor == 0:
             return Fraction(0)
         mass *= factor

@@ -541,6 +541,78 @@ def cell_probability_rows(spec: SystemSpec) -> tuple:
                    for r in range(len(cells) * len(tags))]
 
 
+class Cuts:
+    """The cut table of an ordered list of cells: which row holds a point,
+    exactly or in float64. Every cell lookup reads one.
+
+    * exact: (p, q, owned by the left cell) for each cut p/q between
+      neighbouring cells;
+    * table: the cut values in float64, where the first cut of each float
+      value that its left cell owns moves up to the next float, so that
+      the number of entries at or below a float position is its cell. Only
+      a position within rounding of a cut can be misfiled, and two cuts
+      that round to one float file it by the first cut's ownership;
+    * tagged: whether the rows are the cells crossed with the
+      rational/irrational tag (row 2*cell + tag);
+    * span: the interval the cells cover.
+    """
+
+    def __init__(self, cells: Sequence[Interval], tagged: bool):
+        ends = cells[:-1]
+        self.exact = [(c.hi.numerator, c.hi.denominator, c.own_hi) for c in ends]
+        values = np.array([float(c.hi) for c in ends], dtype=np.float64)
+        nudge = np.array([c.own_hi for c in ends], dtype=bool)
+        nudge[1:] &= values[1:] != values[:-1]
+        self.table = np.sort(np.where(nudge, np.nextafter(values, np.inf), values))
+        self.tagged = tagged
+        self.span = Interval(cells[0].lo, cells[-1].hi, cells[0].own_lo, cells[-1].own_hi)
+
+    def row_of(self, n: int, d: int, tag: bool, closed: bool = True) -> int:
+        """The row of the point n/d (d > 0) with its tag, by one exact
+        bisection on the cuts: the cell before the first cut p/q with
+        n/d < p/q, or equal to it and owned by the left cell. With
+        `closed` false, the row of the points just right of n/d. The
+        point is not checked against `span`."""
+        cuts = self.exact
+        lo, hi = 0, len(cuts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p, q, owned_left = cuts[mid]
+            if n * q < p * d or (closed and owned_left and n * q == p * d):
+                hi = mid
+            else:
+                lo = mid + 1
+        return 2 * lo + tag if self.tagged else lo
+
+    def row_of_interval(self, iv: Interval, tag: bool) -> Optional[int]:
+        """The row of the cell that holds all of `iv`, with the tag; None
+        when `iv` crosses a cut or reaches outside `span`."""
+        if not self.span.contains_interval(iv):
+            return None
+        row = self.row_of(iv.lo.numerator, iv.lo.denominator, tag, iv.own_lo)
+        k = row // 2 if self.tagged else row
+        if k < len(self.exact):
+            p, q, owned_left = self.exact[k]
+            left, right = iv.hi.numerator * q, p * iv.hi.denominator
+            if left > right or (left == right and iv.own_hi and not owned_left):
+                return None
+        return row
+
+    def rows(self, positions: np.ndarray, tags) -> np.ndarray:
+        """The row of every float position, with its tag (ignored unless
+        `tagged`), by one `searchsorted` on `table`."""
+        if not self.exact:
+            # one cell: a search on no cuts costs about as much as on many
+            if self.tagged:
+                return np.asarray(tags, dtype=bool).astype(np.intp)
+            return np.zeros(np.shape(positions), dtype=np.intp)
+        rows = np.searchsorted(self.table, positions, side="right")
+        if self.tagged:
+            rows *= 2
+            rows += tags
+        return rows
+
+
 class CellIndex:
     """Every per-cell quantity of a system, read from its common-refinement
     cells, for exact and float lookups of a point's probability row.
@@ -548,9 +620,7 @@ class CellIndex:
     * cells, rows: the cells and their probability rows, as
       `cell_probability_rows` gives them, and `tagged`: whether rows are
       crossed with the rational/irrational tag;
-    * cuts: (p, q, owned by the left cell) for each cut p/q between
-      neighbouring cells, with its float mirror `cuts_f` (the cut values)
-      and `cuts_owned`;
+    * cuts: the cells' `Cuts`, whose rows are these rows;
     * scale: the common denominator of every probability; numerators: the
       rows as integer numerators over scale;
     * maps: (a, c, m) per edge for the map x -> (a*x + c)/m;
@@ -562,10 +632,7 @@ class CellIndex:
     def __init__(self, spec: SystemSpec):
         self.cells, self.rows = cell_probability_rows(spec)
         self.tagged = spec.has_rationality_edges
-        ends = self.cells[:-1]
-        self.cuts = [(c.hi.numerator, c.hi.denominator, c.own_hi) for c in ends]
-        self.cuts_f = np.array([float(c.hi) for c in ends], dtype=np.float64)
-        self.cuts_owned = np.array([c.own_hi for c in ends], dtype=bool)
+        self.cuts = Cuts(self.cells, self.tagged)
         self.scale = math.lcm(*(v.denominator for row in self.rows for v in row))
         self.numerators = [[v.numerator * (self.scale // v.denominator) for v in row]
                            for row in self.rows]
@@ -583,33 +650,15 @@ class CellIndex:
         for k, e in enumerate(spec.edges):
             self.position.setdefault(e.edge_id, k)
 
-    def row_of(self, n: int, d: int, tag: bool, closed: bool = True) -> int:
-        """The row of the point n/d (d > 0) with its tag, by one exact
-        bisection on the cuts: the cell before the first cut p/q with
-        n/d < p/q, or equal to it and owned by the left cell. With
-        `closed` false, the row of the points just right of n/d."""
-        cuts = self.cuts
-        lo, hi = 0, len(cuts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p, q, owned_left = cuts[mid]
-            if n * q < p * d or (closed and owned_left and n * q == p * d):
-                hi = mid
-            else:
-                lo = mid + 1
-        return 2 * lo + tag if self.tagged else lo
 
-    def row_of_interval(self, iv: Interval, tag: bool) -> Optional[int]:
-        """The row of the cell that holds all of `iv`, with the tag; None
-        when `iv` crosses a cut."""
-        row = self.row_of(iv.lo.numerator, iv.lo.denominator, tag, iv.own_lo)
-        k = row // 2 if self.tagged else row
-        if k < len(self.cuts):
-            p, q, owned_left = self.cuts[k]
-            left, right = iv.hi.numerator * q, p * iv.hi.denominator
-            if left > right or (left == right and iv.own_hi and not owned_left):
-                return None
-        return row
+def usable_cut(domain: Interval, t: Fraction, side: int) -> bool:
+    """Whether the cut (t, side) bounds a cell of `domain`: it lies in the
+    domain and leaves no empty cell at a domain boundary."""
+    if t < domain.lo or t > domain.hi:
+        return False
+    if t == domain.lo and side == -1:
+        return False
+    return not (t == domain.hi and side == +1)
 
 
 def cells_from_cuts(domain: Interval, cuts: Iterable) -> list:
@@ -619,16 +668,7 @@ def cells_from_cuts(domain: Interval, cuts: Iterable) -> list:
     separates points < t from points >= t. Cuts at or beyond the domain
     boundary that would create nothing are dropped.
     """
-    usable = []
-    for t, side in set(cuts):
-        if t < domain.lo or t > domain.hi:
-            continue
-        if t == domain.lo and side == -1:
-            continue
-        if t == domain.hi and side == +1:
-            continue
-        usable.append((t, side))
-    usable.sort(key=lambda c: (c[0], c[1]))
+    usable = sorted((t, side) for t, side in set(cuts) if usable_cut(domain, t, side))
     cells = []
     cur_lo, cur_own = domain.lo, domain.own_lo
     for t, side in usable:

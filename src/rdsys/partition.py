@@ -60,7 +60,6 @@ which every reachable terminal component lies on the diagonal) or
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -68,13 +67,13 @@ from typing import Optional
 import numpy as np
 
 from . import graph as graphmod, measures
-from .model import (ImageSplitsCells, InconsistentMerge, Interval,
+from .model import (Cuts, ImageSplitsCells, InconsistentMerge, Interval,
                     NonConstantOnCell, NotPiecewiseConstant,
                     OutOfDomain, PiecewiseConstant, Point, PointLike,
                     RationalityPredicate, RefinementBudgetExceeded,
                     SystemSpec, Word, as_point,
                     cells_from_cuts, format_rational, format_word,
-                    markov_operator)
+                    markov_operator, usable_cut)
 
 RATIONAL_TAG = "rational"
 IRRATIONAL_TAG = "irrational"
@@ -108,7 +107,10 @@ class Cell:
 
 @dataclass
 class IntervalPartition:
-    """Ordered cells covering the domain exactly."""
+    """Ordered cells covering the domain exactly, with their `Cuts`, whose
+    rows are the cell indices. A tagged partition lists each interval as
+    its rational cell, then its irrational cell, so row 2*k + tag of the
+    k-th interval is that cell's index."""
 
     domain: Interval
     cells: list
@@ -116,33 +118,15 @@ class IntervalPartition:
     tagged: bool
 
     def __post_init__(self):
-        # per tag: the cells' start keys, end keys and indices, by position
-        self._index = {}
-        for k, cell in sorted(enumerate(self.cells),
-                              key=lambda kc: kc[1].interval.start_key):
-            starts, ends, ids = self._index.setdefault(cell.tag, ([], [], []))
-            starts.append(cell.interval.start_key)
-            ends.append(cell.interval.end_key)
-            ids.append(k)
+        intervals = [c.interval for c in self.cells]
+        self.cuts = Cuts(intervals[::2] if self.tagged else intervals, self.tagged)
 
     @property
     def breakpoints(self) -> list:
         return sorted({t for (t, _side) in self.provenance})
 
-    def locate(self, iv: Interval, tag: Optional[str]) -> Optional[int]:
-        """Index of the cell with this tag whose interval contains `iv`,
-        by bisection on the exact cell boundaries; None when no cell does."""
-        starts, ends, ids = self._index.get(tag, ((), (), ()))
-        k = bisect_right(starts, iv.start_key) - 1
-        if k >= 0 and iv.end_key <= ends[k]:
-            return ids[k]
-        return None
-
     def cell_of_point(self, p: Point) -> int:
-        tag = None
-        if self.tagged:
-            tag = IRRATIONAL_TAG if p.irrational_tag else RATIONAL_TAG
-        k = self.locate(Interval(p.value, p.value), tag)
+        k = self.cuts.row_of_interval(Interval(p.value, p.value), p.irrational_tag)
         if k is None:
             raise OutOfDomain(f"point {p} not covered by any cell")
         return k
@@ -169,16 +153,6 @@ def refine_markov_partition(spec: SystemSpec, cap: int = 256) -> IntervalPartiti
                 cuts[(t, side)] = "probability"
                 worklist.append((t, side))
     points = {t for t, _side in cuts}
-
-    def usable(t, side) -> bool:
-        if t < domain.lo or t > domain.hi:
-            return False
-        if t == domain.lo and side == -1:
-            return False
-        if t == domain.hi and side == +1:
-            return False
-        return True
-
     while worklist:
         t, side = worklist.pop()
         for e in spec.edges:
@@ -186,7 +160,7 @@ def refine_markov_partition(spec: SystemSpec, cap: int = 256) -> IntervalPartiti
                 continue
             x = e.map.preimage_value(t)
             new_side = side if e.map.slope > 0 else -side
-            if not usable(x, new_side):
+            if not usable_cut(domain, x, new_side):
                 continue
             if (x, new_side) not in cuts:
                 cuts[(x, new_side)] = "preimage"
@@ -270,7 +244,8 @@ def extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> Labeled
     Each cell finds its probability row by one bisection on the system's
     `CellIndex`; every edge is constant on the cell exactly when the cell
     lies inside one common-refinement cell. An edge that reads the tag
-    needs a tagged cell."""
+    needs a tagged cell. Each image finds its cell by one bisection on the
+    partition's `Cuts`."""
     index = spec.cell_index
     reads_tag = [isinstance(e.prob, RationalityPredicate) and e.prob.constant_value() is None
                  for e in spec.edges]
@@ -280,15 +255,15 @@ def extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> Labeled
     for s, cell in enumerate(part.cells):
         rep = cell.representative()
         reps[s] = rep
-        row = index.row_of_interval(cell.interval, rep.irrational_tag)
+        row = index.cuts.row_of_interval(cell.interval, rep.irrational_tag)
         bad = None
         if row is None:
             # the cell crosses a cut: only this error path scans the pieces,
             # for the first edge not constant on the cell; the edges before
             # it are constant on the cell and read at its representative
             bad = _nonconstant_edge(spec, cell)
-            row = index.row_of(rep.value.numerator, rep.value.denominator,
-                               rep.irrational_tag)
+            row = index.cuts.row_of(rep.value.numerator, rep.value.denominator,
+                                    rep.irrational_tag)
         for k, (e, value) in enumerate(zip(spec.edges, index.rows[row])):
             if k == bad:
                 raise NonConstantOnCell(f"edge {e.edge_id} not constant on cell {cell}")
@@ -298,12 +273,9 @@ def extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> Labeled
             if value == 0:
                 continue
             image = e.map.apply_interval(cell.interval)
-            if cell.tag is None:
-                image_tag = None
-            else:
-                image_tag = (cell.tag if (e.map.slope != 0 or cell.tag == RATIONAL_TAG)
-                             else RATIONAL_TAG)
-            hit = part.locate(image, image_tag)
+            # a constant map sends every point to its rational intercept
+            image_irrational = cell.tag == IRRATIONAL_TAG and e.map.slope != 0
+            hit = part.cuts.row_of_interval(image, image_irrational)
             if hit is None:
                 raise ImageSplitsCells(
                     f"edge {e.edge_id} image {image} of cell {cell} "
@@ -666,6 +638,7 @@ def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
     and zero from then on: a word's defect is its mass if the lift died.
     """
     edge_target = {(fe.class_id, fe.label): fe.target for fe in fp.fms_edges}
+    row_of, state_class = fp.partition.cuts.row_of, fp.state_class
     live = {}   # depth -> the lift's class on the current word, None once dead
     scale, nodes = measures._code_walk(spec, x, None, depth, budget)
     worst = 0   # over scale**depth
@@ -675,7 +648,7 @@ def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
             if edge_target.get((live[k - 1], word[-1])) is None:
                 worst = max(worst, px)
             continue
-        here = classify_point(fp, Point(Fraction(n, d), tag))
+        here = state_class[row_of(n, d, tag)]
         cls = edge_target.get((live[k - 1], word[-1])) if k else here
         live[k] = cls if cls is not None and cls == here else None
     return Fraction(worst, scale ** depth)

@@ -11,10 +11,11 @@ Reproducibility contract (also documented in the README):
   precomputed integer thresholds T_k = ceil(c_k * 2^64).
 
 Probability values and thresholds are exact rationals. Path positions are
-tracked in float64 inside the vectorized sampler; only the interval-cell
-lookup of a position can be off near a breakpoint (within rounding of the
-orbit), never the probabilities attached to the cell, and never the
-rationality tag, which propagates exactly.
+tracked in float64 inside the vectorized sampler and filed by the float
+cut table of the system's `Cuts`, the one `dynamics.simulate` reads once
+its positions turn float. Only that lookup can be off near a breakpoint
+(within rounding of the orbit), never the probabilities attached to the
+cell, and never the rationality tag, which propagates exactly.
 
 The Monte Carlo kernel is one lockstep ensemble of lanes:
 
@@ -26,8 +27,8 @@ The Monte Carlo kernel is one lockstep ensemble of lanes:
 * `VectorPaths` holds positions of shape (k, lanes). Row 0 leads: its
   cell and the lane's draw pick the edge. Further rows shadow it: they
   take the same edge from their own positions (the likelihood-ratio
-  partner of `measures.xi_estimate`). Cells come from one `searchsorted`
-  against `EvalTables.lookup`.
+  partner of `measures.xi_estimate`). Rows come from one `searchsorted`
+  on that float cut table.
 """
 
 from __future__ import annotations
@@ -204,9 +205,6 @@ class EvalTables:
     selection thresholds for cell c; a threshold of 2^64 (unreachable) is
     stored saturated with `never[c, k]` set, and `cap[c]` counts the
     thresholds that are not. `logp_flat[row * n_edges + k]` is log p_k.
-    `lookup` is the float cut table of the one-`searchsorted` cell lookup:
-    the float cut values, where the first cut of each float value that
-    its left cell owns moves up to the next float.
     """
 
     def __init__(self, spec: SystemSpec):
@@ -215,7 +213,6 @@ class EvalTables:
         n_edges = len(self.edge_ids)
 
         self.index = spec.cell_index
-        self.tagged = self.index.tagged
 
         rows = self.index.rows        # row -> list of Fraction per edge
         n_rows = len(rows)
@@ -226,7 +223,7 @@ class EvalTables:
         for row, values in enumerate(rows):
             total = sum(values, Fraction(0))
             if total != 1:
-                cell, tag = divmod(row, 2) if self.tagged else (row, 0)
+                cell, tag = divmod(row, 2) if self.index.tagged else (row, 0)
                 raise ZeroMassState(
                     f"probabilities sum to {total} on cell {self.index.cells[cell]}"
                     + (" (irrational)" if tag else ""))
@@ -252,16 +249,12 @@ class EvalTables:
         self.n_edges = n_edges
 
         # vector kernel: threshold columns, the cap where a threshold is
-        # unreachable, flat log-probabilities and the float cut table
+        # unreachable and flat log-probabilities
         self.threshold_columns = [np.ascontiguousarray(self.thresholds[:, k])
                                   for k in range(n_edges - 1)]
         self.cap = np.count_nonzero(~self.never, axis=1)
         self.capped = bool(self.never.any())
         self.logp_flat = self.logp.ravel()
-        cuts_f, owned = self.index.cuts_f, self.index.cuts_owned
-        first = np.ones(len(cuts_f), dtype=bool)
-        first[1:] = cuts_f[1:] != cuts_f[:-1]
-        self.lookup = np.sort(np.where(owned & first, np.nextafter(cuts_f, np.inf), cuts_f))
 
         # plain-Python selectors for the scalar hot loop
         self.row_selectors = []
@@ -285,14 +278,7 @@ class VectorPaths:
 
     def rows(self) -> np.ndarray:
         """The probability row of every position."""
-        t = self.tables
-        if not len(t.lookup):
-            return (self.tags if t.tagged else np.zeros_like(self.tags)).astype(np.intp)
-        rows = np.searchsorted(t.lookup, self.positions, side="right")
-        if t.tagged:
-            rows *= 2
-            rows += self.tags
-        return rows
+        return self.tables.index.cuts.rows(self.positions, self.tags)
 
     def select(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Edge index per lane for draws u at the leading rows: the number

@@ -1,11 +1,13 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import settings
 
-from rdsys.model import (AffineMap, Edge, Interval, PiecewiseConstant,
-                         SystemSpec, cells_from_cuts)
+from rdsys.model import (AffineMap, Edge, Interval, OutOfDomain,
+                         PiecewiseConstant, Point, SystemSpec, cells_from_cuts)
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -71,6 +73,41 @@ def triadic_system(m: int, rng: random.Random, zeros: bool = False) -> SystemSpe
         Edge(str(e), AffineMap(Fraction(1, 3), Fraction(e, 3)),
              PiecewiseConstant(tuple((c, p[e]) for c, p in zip(cells, probs))))
         for e in range(3)))
+
+
+class PartitionLookup:
+    """The cell lookups of an `IntervalPartition` before it read `Cuts`:
+    `locate` and `cell_of_point` by bisection on per-tag start and end
+    keys, kept verbatim as the oracle."""
+
+    def __init__(self, part):
+        self.cells, self.tagged = part.cells, part.tagged
+        # per tag: the cells' start keys, end keys and indices, by position
+        self._index = {}
+        for k, cell in sorted(enumerate(self.cells),
+                              key=lambda kc: kc[1].interval.start_key):
+            starts, ends, ids = self._index.setdefault(cell.tag, ([], [], []))
+            starts.append(cell.interval.start_key)
+            ends.append(cell.interval.end_key)
+            ids.append(k)
+
+    def locate(self, iv: Interval, tag: Optional[str]) -> Optional[int]:
+        """Index of the cell with this tag whose interval contains `iv`,
+        by bisection on the exact cell boundaries; None when no cell does."""
+        starts, ends, ids = self._index.get(tag, ((), (), ()))
+        k = bisect_right(starts, iv.start_key) - 1
+        if k >= 0 and iv.end_key <= ends[k]:
+            return ids[k]
+        return None
+
+    def cell_of_point(self, p: Point) -> int:
+        tag = None
+        if self.tagged:
+            tag = "irrational" if p.irrational_tag else "rational"
+        k = self.locate(Interval(p.value, p.value), tag)
+        if k is None:
+            raise OutOfDomain(f"point {p} not covered by any cell")
+        return k
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 `oracle_cylinder_measure` and `oracle_extract_symbolic_chain` are the
 `value_at`-based `cylinder_measure` and `extract_symbolic_chain` the index
-replaced, kept verbatim as the oracle.
+replaced, kept verbatim as the oracle; the chain oracle finds image cells
+with `conftest.PartitionLookup`.
 """
 
 import itertools
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import UNIT, random_system, triadic_system
+from conftest import UNIT, PartitionLookup, random_system, triadic_system
 from rdsys import measures, model, systems
 from rdsys.measures import XiParams, cylinder_measure, xi_estimate
 from rdsys.model import (AffineMap, Edge, ImageSplitsCells, Interval,
@@ -51,6 +52,7 @@ def oracle_cylinder_measure(spec: SystemSpec, x: PointLike, word: Word) -> Fract
 def oracle_extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> LabeledChain:
     """Read off per-cell probabilities and single-cell images, verifying
     constancy and image containment exactly."""
+    lookup = PartitionLookup(part)
     prob = {}
     target = {}
     reps = {}
@@ -76,7 +78,7 @@ def oracle_extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> 
             else:
                 image_tag = (cell.tag if (e.map.slope != 0 or cell.tag == RATIONAL_TAG)
                              else RATIONAL_TAG)
-            hit = part.locate(image, image_tag)
+            hit = lookup.locate(image, image_tag)
             if hit is None:
                 raise ImageSplitsCells(
                     f"edge {e.edge_id} image {image} of cell {cell} "
@@ -206,6 +208,23 @@ class TestMissingCut:
         part = IntervalPartition(domain=UNIT, cells=[Cell(UNIT)], provenance={}, tagged=False)
         message = self.error(extract_symbolic_chain, SPLIT, part)
         assert message == self.error(oracle_extract_symbolic_chain, SPLIT, part)
+
+    def test_image_outside_the_cells(self):
+        # unvalidated: edge 0 sends (1/2,1] past the domain, to (1,5/4]
+        low, high = Interval(F(0), F(1, 2)), Interval(F(1, 2), F(1), False, True)
+        spec = SystemSpec(domain=UNIT, edges=(
+            Edge("0", AffineMap(F(1, 2), F(3, 4)),
+                 PiecewiseConstant(((low, F(1, 2)), (high, F(1, 3))))),
+            Edge("1", AffineMap(F(1, 2), F(0)),
+                 PiecewiseConstant(((low, F(1, 2)), (high, F(2, 3)))))))
+        part = stable_partition(spec)
+        assert [c.interval for c in part.cells] == [low, high]
+        messages = []
+        for extract in (extract_symbolic_chain, oracle_extract_symbolic_chain):
+            with pytest.raises(ImageSplitsCells) as info:
+                extract(spec, part)
+            messages.append(str(info.value))
+        assert messages == ["edge 0 image (1,5/4] of cell (1/2,1] not inside a single cell"] * 2
 
 
 class TestBuiltOnce:

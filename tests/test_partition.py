@@ -605,7 +605,7 @@ class TestClassify:
         part = tagged_partition(SPLIT)
         assert part.cell_of_point(Point(F(1, 3))) == 0
         assert part.cell_of_point(Point(F(1, 3), True)) == 1
-        assert part.locate(Interval(F(1, 4), F(1, 2)), "irrational") == 1
+        assert part.cuts.row_of_interval(Interval(F(1, 4), F(1, 2)), True) == 1
 
     def test_irrational_tag_classified(self):
         fp = fundamental_partition(SPLIT, small_params())

@@ -55,7 +55,9 @@ def draw_matrix(seed: int, n_streams: int, n_draws: int, base: int = 0) -> np.nd
 
 
 def rows_vector(self, positions: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    cuts_f, owned_left = self.index.cuts_f, self.index.cuts_owned
+    ends = self.index.cells[:-1]
+    cuts_f = np.array([float(c.hi) for c in ends], dtype=np.float64)
+    owned_left = np.array([c.own_hi for c in ends], dtype=bool)
     if len(cuts_f) == 0:
         base = np.zeros(len(positions), dtype=np.int64)
     else:
@@ -67,7 +69,7 @@ def rows_vector(self, positions: np.ndarray, tags: np.ndarray) -> np.ndarray:
         owned = np.zeros(len(positions), dtype=bool)
         owned[hit] = owned_left[eq[hit]]
         base = base - (at_cut & owned)
-    if self.tagged:
+    if self.index.tagged:
         return base * 2 + tags.astype(np.int64)
     return base
 
@@ -254,7 +256,7 @@ def same_bits(a, b) -> bool:
 
 def random_points(rng, spec, count):
     """Points on the system's cut values and on small grids."""
-    cuts = [Fraction(p, q) for p, q, _owned in spec.cell_index.cuts]
+    cuts = [Fraction(p, q) for p, q, _owned in spec.cell_index.cuts.exact]
     grid = [Fraction(rng.randint(0, d), d) for d in (2, 3, 5, 7, 12) for _ in range(2)]
     return [rng.choice(cuts + grid) for _ in range(count)]
 
@@ -319,13 +321,25 @@ def lookup_systems():
 def test_cell_lookup_at_every_cut_and_its_float_neighbours():
     for spec in lookup_systems():
         tables = sampling.EvalTables(spec)
-        cuts = tables.index.cuts_f
+        cuts = np.array([float(c.hi) for c in tables.index.cells[:-1]])
         values = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
                                  [float(spec.domain.lo), float(spec.domain.hi), np.nan]])
         for tag in (False, True):
             tags = np.full(len(values), tag)
             paths = sampling.VectorPaths(tables, values, tags, sampling.LaneStreams(0, []))
             assert np.array_equal(paths.rows()[0], rows_vector(tables, values, tags)), spec
+
+
+def test_simulate_and_the_kernel_file_close_cuts_alike():
+    """Once its positions turn float, `simulate` draws the edges lane 0 of
+    the lockstep kernel draws from the same substream, also where two
+    rational cuts round to one float (1/3 is reached in one step)."""
+    for spec in close_cut_systems():
+        tables = sampling.EvalTables(spec)
+        for seed in range(200):
+            trace = dynamics.simulate(spec, Fraction(2, 3), 3, seed, bit_cap=0)
+            lane = sampling.replay_lane(tables, Fraction(2, 3), False, seed, 0, 3)
+            assert trace.labels == [tables.edge_ids[k] for k in lane], (spec, seed)
 
 
 def test_edge_selection_at_the_thresholds():
