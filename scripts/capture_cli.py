@@ -42,6 +42,8 @@ DEEP_SYSTEM = "positive_step"
 # a depth-1 exact scan finds no separating word for 1/4 and 3/4 here, so
 # the word comes from a sampled path
 SAMPLED_SYSTEM = "step_ninth"
+# an irrational start on the system whose probabilities read the tag
+TAGGED_SYSTEM = "rational_split"
 
 
 def runs(name: str, path: str):
@@ -66,6 +68,13 @@ def runs(name: str, path: str):
                                      "--samples", "300", "--n-mc", "300", "--n-exact", "1",
                                      "--json"]
         yield "rate_default", ["rate", path, "--seed", SEED, "--json"]
+        # more than one 65,536-draw chunk, so trace.csv crosses a chunk boundary
+        yield "simulate_chunks", ["simulate", path, "--x0", "1/3", "--steps", "70000",
+                                  "--seed", SEED, "--json"]
+    if name == TAGGED_SYSTEM:
+        # a tagged trace that turns float: the class frequencies read the tags
+        yield "simulate_irrational", ["simulate", path, "--x0", "irr:1/5", "--steps",
+                                      "20000", "--seed", SEED, "--f", "poly:0,1", "--json"]
     yield "partition", ["partition", path, "--seed", SEED, "--json"]
     yield "partition_lift10", ["partition", path, "--lift-depth", "10", "--json"]
     yield "graph", ["graph", path, "--seed", SEED, "--json"]

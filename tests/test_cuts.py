@@ -192,6 +192,6 @@ def test_class_frequencies_match_the_oracle(name):
     trace = dynamics.simulate(spec, start, 6000, 7)
     assert trace.exact_steps < len(trace)
     assert dynamics.class_frequencies(trace, fp) == oracle_class_frequencies(trace, fp)
-    values_f = dynamics._float_values(trace)
+    values_f = trace.positions
     want = np.array([float(v) for v in trace.values], dtype=np.float64)
     assert np.array_equal(values_f.view(np.uint64), want.view(np.uint64))

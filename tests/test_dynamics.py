@@ -1,19 +1,30 @@
+import functools
+import io
+import itertools
 import math
 import random
+import tracemalloc
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsys import systems
-from rdsys.dynamics import (DegenerateCellOnly, EmptySamples, Indicator,
-                            Polynomial, Trace, class_frequencies,
-                            contraction_estimate, convergence_rate,
-                            ergodic_average, parse_test_function, push_cloud,
-                            simulate, stationary_cloud, w1_distance)
-from rdsys.model import AffineMap, Edge, Interval, PiecewiseConstant, Point, SystemSpec
-from rdsys.partition import PartitionParams, fundamental_partition, stable_partition
+from conftest import UNIT, random_system
+from rdsys import sampling, systems
+from rdsys.dynamics import (DENOMINATOR_BIT_CAP, DegenerateCellOnly,
+                            EmptySamples, Indicator, Polynomial,
+                            class_frequencies, contraction_estimate,
+                            convergence_rate, ergodic_average,
+                            parse_test_function, push_cloud, simulate,
+                            stationary_cloud, w1_distance)
+from rdsys.model import (AffineMap, Edge, EmptyTrace, Interval, PiecewiseConstant,
+                         Point, RationalityPredicate, RdsError, RefinementBudgetExceeded,
+                         SystemSpec, as_point, cells_from_cuts, format_rational)
+from rdsys.partition import (PartitionParams, classify_point, fundamental_partition,
+                             stable_partition)
 
 F = Fraction
 STEP = systems.step_system()
@@ -121,6 +132,22 @@ class TestClassFrequencies:
         tr = simulate(SPLIT, 0, 300, seed=2)
         freqs = class_frequencies(tr, fp)
         assert freqs[0] == 1 and freqs[1] == 0
+
+    def test_exact_prefix_filed_exactly(self):
+        # cuts 1/3 (owned left) and 1/3 + 10^-40 share a float: the exact
+        # start 1/3 lies in the class classify_point gives, while its float
+        # is filed right of both cuts
+        a, b = F(1, 3), F(1, 3) + F(1, 10 ** 40)
+        assert float(a) == float(b)
+        cells = cells_from_cuts(UNIT, [(a, 1), (b, 1), (F(2, 3), 1)])
+        p0 = (F(1), F(0), F(1, 2), F(1, 3))
+        spec = SystemSpec(domain=UNIT, edges=(
+            Edge("0", AffineMap(F(1, 3), F(0)), PiecewiseConstant(tuple(zip(cells, p0)))),
+            Edge("1", AffineMap(F(1, 3), F(2, 3)),
+                 PiecewiseConstant(tuple((c, 1 - p) for c, p in zip(cells, p0))))))
+        fp = fundamental_partition(spec)
+        assert classify_point(fp, a) == 0
+        assert class_frequencies(simulate(spec, a, 0, 1), fp) == {0: 1, 1: 0, 2: 0}
 
 
 class TestContraction:
@@ -237,3 +264,316 @@ class TestCloudsAndRates:
         assert report.distances[1:] == [0.0] * 4
         assert report.ratios == [(0, 0.0)]
         assert report.geometric_mean_ratio == 0.0
+
+
+# ---------------------------------------------------------------------------
+# differential: array-backed traces against the list-based simulate
+
+@dataclass
+class OracleTrace:
+    """The list-based `Trace` before traces moved into arrays, kept
+    verbatim with `oracle_simulate`, `oracle_float_values` and
+    `oracle_ergodic_average` as the oracle."""
+
+    seed: int
+    x0: Point
+    labels: list          # edge ids per step
+    values: list          # positions x_0..x_n (Fraction while exact, then float)
+    tags: list            # irrationality tag per position
+    exact_steps: int      # index of the last exact position
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def point(self, k: int) -> Point:
+        v = self.values[k]
+        if isinstance(v, Fraction):
+            return Point(v, self.tags[k])
+        return Point(Fraction(*v.as_integer_ratio()), self.tags[k])
+
+    def write_csv(self, fh) -> None:
+        fh.write("step,label,point,precision\n")
+        for k, v in enumerate(self.values):
+            label = self.labels[k - 1] if k > 0 else "-"
+            if isinstance(v, Fraction):
+                fh.write(f"{k},{label},{format_rational(v)},exact\n")
+            else:
+                fh.write(f"{k},{label},{v!r},float64\n")
+
+
+def oracle_simulate(spec, x0, steps, seed, *, bit_cap=DENOMINATOR_BIT_CAP):
+    if steps < 0:
+        raise RdsError("steps must be >= 0")
+    start = as_point(x0)
+    spec.require_in_domain(start)
+    tables = sampling.EvalTables(spec)
+    rng = sampling.substream(seed, 0)
+
+    x = start.value
+    tag = start.irrational_tag
+    labels = []
+    values = [x]
+    tags = [tag]
+    exact_steps = 0
+    exact = True
+
+    slopes = tables.slopes
+    intercepts = tables.intercepts
+    slopes_f = [float(s) for s in slopes]
+    intercepts_f = [float(c) for c in intercepts]
+    slope_nonzero = [s != 0 for s in slopes]
+    edge_ids = tables.edge_ids
+    selectors = tables.row_selectors
+    cuts = tables.index.cuts
+    row_of, floats, tagged = cuts.row_of, cuts.table.tolist(), cuts.tagged
+
+    done = 0
+    while done < steps:
+        chunk = rng.integers(0, sampling.TWO64 - 1, endpoint=True,
+                             dtype=np.uint64, size=min(1 << 16, steps - done)).tolist()
+        done += len(chunk)
+        for u in chunk:
+            if exact:
+                # exact cell lookup against rational breakpoints
+                row = row_of(x.numerator, x.denominator, tag)
+            else:
+                pos = bisect_right(floats, x)
+                row = pos * 2 + tag if tagged else pos
+            idx = 0
+            for k, threshold in selectors[row]:
+                if u >= threshold:
+                    idx = k
+                else:
+                    break
+            labels.append(edge_ids[idx])
+            if exact:
+                x = slopes[idx] * x + intercepts[idx]
+                if x.denominator.bit_length() > bit_cap:
+                    x = float(x)
+                    exact = False
+                else:
+                    exact_steps += 1
+            else:
+                x = slopes_f[idx] * x + intercepts_f[idx]
+            tag = tag and slope_nonzero[idx]
+            values.append(x)
+            tags.append(tag)
+    return OracleTrace(seed=seed, x0=start, labels=labels, values=values,
+                       tags=tags, exact_steps=exact_steps)
+
+
+def oracle_float_values(trace) -> np.ndarray:
+    k = trace.exact_steps + 1
+    return np.fromiter(itertools.chain(map(float, trace.values[:k]),
+                                       itertools.islice(trace.values, k, None)),
+                       dtype=np.float64, count=len(trace.values))
+
+
+def oracle_ergodic_average(trace, f):
+    if not trace.values:
+        raise EmptyTrace("trace has no positions")
+    n = len(trace.values)
+    if trace.exact_steps + 1 >= n:
+        return sum((Fraction(f(v)) for v in trace.values), Fraction(0)) / n
+
+    values_f = oracle_float_values(trace)
+    if isinstance(f, Polynomial):
+        acc = np.zeros(n, dtype=np.float64)
+        for c in reversed(f.coeffs):
+            acc = acc * values_f + float(c)
+        return float(np.mean(acc))
+    iv = f.interval
+    lo, hi = float(iv.lo), float(iv.hi)
+    above = (values_f > lo) | ((values_f == lo) & iv.own_lo)
+    below = (values_f < hi) | ((values_f == hi) & iv.own_hi)
+    return float(np.mean(above & below))
+
+
+def oracle_class_frequencies(trace, fp) -> dict:
+    """Exact positions filed one by one by `classify_point`, float ones by
+    the float cut table of the stable partition."""
+    counts = dict.fromkeys((info.class_id for info in fp.classes), 0)
+    floats, float_tags = [], []
+    for v, tag in zip(trace.values, trace.tags):
+        if isinstance(v, Fraction):
+            counts[classify_point(fp, Point(v, tag))] += 1
+        else:
+            floats.append(v)
+            float_tags.append(tag)
+    if floats:
+        for row in fp.partition.cuts.rows(np.array(floats), np.array(float_tags)).tolist():
+            counts[fp.state_class[row]] += 1
+    return {cid: Fraction(c, len(trace.values)) for cid, c in counts.items()}
+
+
+TEST_FUNCTIONS = (Polynomial((F(0), F(1))), Polynomial((F(1, 3), F(-2), F(5, 4))),
+                  Polynomial(()), Indicator(Interval(F(1, 3), F(2, 3), False, True)),
+                  Indicator(Interval(F(0), F(1, 9))))
+
+
+def same_items(a, b) -> bool:
+    """Equal element by element and of the same type (a float equal to a
+    Fraction does not count)."""
+    a, b = list(a), list(b)
+    return len(a) == len(b) and all(type(x) is type(y) and x == y for x, y in zip(a, b))
+
+
+def assert_same_trace(new, old, fp=None):
+    n = len(old)
+    assert len(new) == n and new.exact_steps == old.exact_steps
+    assert same_items(new.labels, old.labels)
+    assert same_items(new.values, old.values)
+    assert same_items(new.tags, old.tags)
+    for column in ("labels", "values", "tags"):
+        view, oracle = getattr(new, column), getattr(old, column)
+        assert view == oracle and oracle == view and not view != oracle
+        for key in (slice(None, old.exact_steps + 2), slice(old.exact_steps, None),
+                    slice(n // 3, -1), slice(None, None, 7), slice(None, None, -5), -1):
+            if isinstance(key, int) and not oracle:
+                continue
+            got, want = view[key], oracle[key]
+            assert (same_items(got, want) if isinstance(key, slice)
+                    else type(got) is type(want) and got == want)
+        if column != "values":   # counting a Fraction among floats is slow
+            for value in {*oracle[:2], "?"}:
+                assert view.count(value) == oracle.count(value)
+    for k in {0, n // 2, n, -1, old.exact_steps, min(old.exact_steps + 1, n)}:
+        assert new.point(k) == old.point(k)
+    got, want = io.StringIO(), io.StringIO()
+    new.write_csv(got)
+    old.write_csv(want)
+    assert got.getvalue() == want.getvalue()
+    for f in TEST_FUNCTIONS:
+        avg, oracle = ergodic_average(new, f), oracle_ergodic_average(old, f)
+        assert type(avg) is type(oracle) and avg == oracle, f
+    if fp is not None:
+        assert class_frequencies(new, fp) == oracle_class_frequencies(old, fp)
+
+
+def tag_clearing_system() -> SystemSpec:
+    """Rationality-dependent halving maps plus a constant map, whose
+    firing clears the irrationality tag."""
+    half = F(1, 2)
+    return SystemSpec(domain=UNIT, edges=(
+        Edge("0", AffineMap(half, F(0)), RationalityPredicate(half, F(1, 2))),
+        Edge("1", AffineMap(half, half), RationalityPredicate(F(1, 4), F(49, 100))),
+        Edge("c", AffineMap(F(0), F(1, 3)), RationalityPredicate(F(1, 4), F(1, 100)))))
+
+
+@functools.cache
+def bundled_partition(name: str):
+    return fundamental_partition(systems.bundled_spec(name))
+
+
+class TestAgainstListTraces:
+
+    @pytest.mark.parametrize("steps", [0, 1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize("name", sorted(systems.BUILDERS))
+    def test_bundled_across_the_chunk_boundary(self, name, steps):
+        spec = systems.bundled_spec(name)
+        new = simulate(spec, F(1, 3), steps, seed=3)
+        assert_same_trace(new, oracle_simulate(spec, F(1, 3), steps, seed=3),
+                          bundled_partition(name))
+
+    def test_irrational_start_turns_float(self):
+        new = simulate(SPLIT, "irr:1/5", 20_000, seed=7)
+        assert new.exact_steps < len(new) and all(new.tags)
+        assert_same_trace(new, oracle_simulate(SPLIT, "irr:1/5", 20_000, seed=7),
+                          bundled_partition("rational_split"))
+
+    @pytest.mark.parametrize("seed, bit_cap", [(4, DENOMINATOR_BIT_CAP), (0, 64)])
+    def test_constant_map_clears_the_tag(self, seed, bit_cap):
+        # at seed 4 the tag clears while the positions are exact, at seed 0
+        # with a 64-bit cap after they turned float
+        spec = tag_clearing_system()
+        new = simulate(spec, "irr:1/5", 5000, seed, bit_cap=bit_cap)
+        assert 1 < new.n_tagged < len(new.values)
+        assert (new.n_tagged > new.exact_steps + 1) == (bit_cap == 64)
+        assert_same_trace(new, oracle_simulate(spec, "irr:1/5", 5000, seed, bit_cap=bit_cap),
+                          fundamental_partition(spec))
+
+    @pytest.mark.parametrize("bit_cap", [0, 8, 64])
+    def test_small_bit_caps(self, bit_cap):
+        # the gcd reduction decides the switch step: 5/7 -> (5 + 7c)/63 ...
+        new = simulate(STEP, F(5, 7), 3000, seed=11, bit_cap=bit_cap)
+        assert 0 < new.exact_steps < 3000 or bit_cap == 0
+        assert_same_trace(new, oracle_simulate(STEP, F(5, 7), 3000, seed=11, bit_cap=bit_cap),
+                          bundled_partition("step_ninth"))
+
+    def test_random_systems(self):
+        rng = random.Random(0x7ACE)
+        checked = 0
+        while checked < 20:
+            spec = random_system(rng)
+            try:
+                fp = fundamental_partition(spec, PartitionParams(refinement_cap=24))
+            except RefinementBudgetExceeded:
+                continue
+            x0 = F(rng.randint(0, 12), 12)
+            # these stay exact at the default cap; a third turn float at 16 bits
+            for start, cap in ((x0, DENOMINATOR_BIT_CAP), (Point(x0, True), 16)):
+                seed = rng.randrange(1 << 20)
+                assert_same_trace(simulate(spec, start, 400, seed, bit_cap=cap),
+                                  oracle_simulate(spec, start, 400, seed, bit_cap=cap), fp)
+            checked += 1
+
+
+class TestTraceViews:
+    def test_prefix_of_a_longer_trace(self):
+        long, short = simulate(STEP, 1, 5000, seed=5), simulate(STEP, 1, 300, seed=5)
+        n = len(short)
+        assert short.values == long.values[:n + 1] and short.labels == long.labels[:n]
+        assert short.tags == long.tags[:n + 1]
+        assert short.values != long.values[:n] and short.values != long.values[1:n + 2]
+        other = simulate(STEP, 1, 300, seed=6)
+        assert other.values != long.values[:n + 1] or other.labels != long.labels[:n]
+
+    def test_fraction_and_float_positions_compare_by_value(self):
+        # dyadic positions are exact in float64 too: a trace that turns float
+        # early equals one that stays exact, as the lists did
+        for cap in (0, 2, 8):
+            a = simulate(SPLIT, F(1, 2), 30, seed=9, bit_cap=cap)
+            b = simulate(SPLIT, F(1, 2), 30, seed=9)
+            want = (oracle_simulate(SPLIT, F(1, 2), 30, seed=9, bit_cap=cap).values
+                    == oracle_simulate(SPLIT, F(1, 2), 30, seed=9).values)
+            assert want and a.exact_steps != b.exact_steps
+            assert (a.values == b.values) == want and (b.values[3:] == a.values[3:]) == want
+        c, d = simulate(STEP, F(1, 2), 50, seed=5, bit_cap=0), simulate(STEP, F(1, 2), 50, seed=5)
+        assert c.values != d.values and c.labels == d.labels
+
+    def test_sequence_behaviour(self):
+        tr = simulate(STEP, 0, 10, seed=9)
+        assert len(tr.values) == 11 and tr.values[-1] == tr.values[10]
+        assert list(reversed(tr.labels)) == list(tr.labels)[::-1]
+        assert tr.values[1] in tr.values and tr.labels.index("1") == 0
+        assert tr.values[2:5][1] == tr.values[3] and len(tr.values[20:]) == 0
+        assert tr.labels != "1" * 10 and tr.labels != 3
+        with pytest.raises(IndexError):
+            tr.values[11]
+        with pytest.raises(TypeError):
+            hash(tr.labels)
+
+
+def test_trace_memory_stays_near_its_arrays():
+    """A 2*10^5-step trace of step_ninth, both averages over it and one
+    prefix comparison peak below 7 times the bytes of the trace's
+    arrays. Here the peak is 9.1 MiB against 1.7 MiB of arrays (the rest:
+    the exact prefix's integer pairs and one chunk of draws); a trace of
+    Python lists peaked at 15.4 MiB."""
+    fp = fundamental_partition(STEP)
+    steps = 200_000
+    simulate(STEP, F(5, 7), 10, seed=3)
+    tracemalloc.start()
+    try:
+        a = simulate(STEP, F(5, 7), steps, seed=3)
+        ergodic_average(a, Polynomial((F(0), F(1))))
+        class_frequencies(a, fp)
+        b = simulate(STEP, F(5, 7), steps // 10, seed=3)
+        n = len(b)
+        assert not a.values[:n + 1] != b.values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = a.positions.nbytes + a.edges.nbytes
+    assert arrays == 9 * steps + 8
+    assert peak < 7 * arrays, (peak, arrays)
