@@ -10,6 +10,7 @@ identical inputs, seed and caps produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -31,8 +32,8 @@ EXIT_INVARIANT = 3
 
 class _Output:
     """Collects named output files plus a stdout report. A file is a
-    callable that writes its text to an open text file; `flush` calls it
-    only when there is a directory to write to."""
+    zero-argument callable that renders its text; `flush` calls it only
+    when there is a directory to write to."""
 
     def __init__(self, outdir):
         self.outdir = Path(outdir) if outdir else None
@@ -42,8 +43,8 @@ class _Output:
     def say(self, line: str = "") -> None:
         self.report_lines.append(line)
 
-    def file(self, name: str, write) -> None:
-        self.files[name] = write
+    def file(self, name: str, render) -> None:
+        self.files[name] = render
 
     def flush(self, json_tree=None) -> None:
         text = "\n".join(self.report_lines) + "\n"
@@ -51,9 +52,8 @@ class _Output:
         if self.outdir:
             self.outdir.mkdir(parents=True, exist_ok=True)
             (self.outdir / "report.txt").write_text(text, encoding="utf-8")
-            for name, write in self.files.items():
-                with (self.outdir / name).open("w", encoding="utf-8") as fh:
-                    write(fh)
+            for name, render in self.files.items():
+                (self.outdir / name).write_text(render(), encoding="utf-8")
             if json_tree is not None:
                 (self.outdir / "report.json").write_text(
                     json.dumps(json_tree, indent=2, sort_keys=True) + "\n",
@@ -178,7 +178,7 @@ def _cmd_cylinders(args, spec, out: _Output) -> int:
     csv = ["word,mass"]
     for word, mass in rows:
         csv.append(f"{format_word(word)},{format_rational(mass)}")
-    out.file("cylinders.csv", lambda fh: fh.write("\n".join(csv) + "\n"))
+    out.file("cylinders.csv", lambda: "\n".join(csv) + "\n")
     out.say("\n".join(csv))
     tree = {"x": str(x), "depth": args.depth,
             "cylinders": {format_word(w): format_rational(m) for w, m in rows}}
@@ -200,7 +200,7 @@ def _cmd_xi(args, spec, out: _Output) -> int:
     out.say(f"evidence grade: "
             + ("exact certificate" if report.exact
                else f"statistical, seed={report.seed}"))
-    out.file("xi.csv", lambda fh: fh.write(report.to_csv()))
+    out.file("xi.csv", report.to_csv)
     out.say(report.to_csv().rstrip("\n"))
     tree = {"verdict": report.verdict, "drift": report.mc_drift,
             "stderr": report.mc_drift_stderr, "seed": report.seed,
@@ -247,7 +247,7 @@ def _cmd_partition(args, spec, out: _Output) -> int:
     if worst != 0 or worst_u != 0:
         raise RdsError("lift or operator identity violated")
 
-    out.file("partition_report.txt", lambda fh: fh.write(partmod.partition_report(fp)))
+    out.file("partition_report.txt", lambda: partmod.partition_report(fp))
     tree = {
         "breakpoints": [format_rational(b) for b in fp.partition.breakpoints],
         "classes": {info.class_id: info.describe() for info in fp.classes},
@@ -281,11 +281,11 @@ def _cmd_graph(args, spec, out: _Output) -> int:
         sub = graphmod.Digraph(vertices=tuple(sorted(sub_vertices)), arcs=sub_arcs)
         out.say(f"recurrent restricted to terminal component: {graphmod.is_recurrent(sub)}")
 
-    def matrix_csv(fh) -> None:
+    def matrix_csv() -> str:
         csv = ["," + ",".join(f"state{j}" for j in range(chain.n_states))]
         for i, row in enumerate(graphmod.aggregated_matrix(chain)):
             csv.append(f"state{i}," + ",".join(format_rational(v) for v in row))
-        fh.write("\n".join(csv) + "\n")
+        return "\n".join(csv) + "\n"
     out.file("matrix.csv", matrix_csv)
 
     tree = {"irreducible": irr, "aperiodic": aper, "recurrent": rec}
@@ -294,9 +294,9 @@ def _cmd_graph(args, spec, out: _Output) -> int:
         for v in range(chain.n_states):
             out.say(f"  state {v} {chain.cells[v]}: {format_rational(stat.pi[v])}")
         out.say(f"residual: {format_rational(stat.residual)}")
-        out.file("stationary.csv", lambda fh: fh.write("\n".join(
+        out.file("stationary.csv", lambda: "\n".join(
             ["state,pi"] + [f"{v},{format_rational(stat.pi[v])}"
-                            for v in range(chain.n_states)]) + "\n"))
+                            for v in range(chain.n_states)]) + "\n")
         mom = graphmod.exact_first_moment(spec, chain, stat)
         out.say("per-class first moments (exact, recurrent states):")
         for v, m in sorted(mom.per_class.items()):
@@ -345,7 +345,11 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
                 f"{format_rational(freqs[info.class_id])}")
     tree["class_frequencies"] = {cid: format_rational(v) for cid, v in freqs.items()}
 
-    out.file("trace.csv", trace.write_csv)
+    def trace_csv() -> str:
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        return buf.getvalue()
+    out.file("trace.csv", trace_csv)
     out.flush(tree if args.json else None)
     return EXIT_OK
 
@@ -363,7 +367,7 @@ def _cmd_rate(args, spec, out: _Output) -> int:
             f"{report.geometric_mean_ratio!r}")
     if bound is not None:
         out.say(f"comparison bound max(1/3,b)^(1/2): {bound!r}")
-    out.file("rate.csv", lambda fh: fh.write(report.to_csv()))
+    out.file("rate.csv", report.to_csv)
     out.say(report.to_csv().rstrip("\n"))
     tree = {"noise_floor": report.noise_floor,
             "geometric_mean_ratio": report.geometric_mean_ratio,

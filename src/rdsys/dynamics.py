@@ -101,8 +101,7 @@ class _Column(Sequence):
     """A read-only view of one column of a `Trace` over a range of its
     indexes. Slicing gives another view and copies nothing; elements are
     made when read, a chunk at a time when iterated. Views compare with
-    `==` against any sequence element by element, and against a view of
-    the same column by the trace's arrays."""
+    `==` against any sequence, views included, element by element."""
 
     __slots__ = ("trace", "_range")
     __hash__ = None
@@ -128,11 +127,6 @@ class _Column(Sequence):
             self._read(lo, min(lo + CHUNK, r.stop)) for lo in range(r.start, r.stop, CHUNK))
 
     def __eq__(self, other):
-        if (type(other) is type(self) and self._range.step == other._range.step == 1
-                and len(self) == len(other)):
-            same = self._same(other)
-            if same is not None:
-                return same
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
@@ -144,11 +138,6 @@ class _Column(Sequence):
         """The elements at trace indexes lo..hi-1, as a list."""
         raise NotImplementedError
 
-    def _same(self, other) -> Optional[bool]:
-        """Whether two contiguous views of equal length are equal, from the
-        arrays; None when only an element-wise comparison can tell."""
-        return None
-
 
 class Labels(_Column):
     """The edge id drawn at each step."""
@@ -157,13 +146,6 @@ class Labels(_Column):
 
     def _read(self, lo, hi):
         return list(map(self.trace.edge_ids.__getitem__, self.trace.edges[lo:hi].tolist()))
-
-    def _same(self, other):
-        a, b = self._range, other._range
-        if self.trace.edge_ids != other.trace.edge_ids:
-            return None
-        return bool(np.array_equal(self.trace.edges[a.start:a.stop],
-                                   other.trace.edges[b.start:b.stop]))
 
 
 class Values(_Column):
@@ -176,18 +158,6 @@ class Values(_Column):
         out = [Fraction(n, d) for n, d in trace.exact[lo:hi]]
         return out + trace.positions[max(lo, len(trace.exact)):hi].tolist()
 
-    def _same(self, other):
-        a, b = self._range, other._range
-        k = min(max(len(self.trace.exact) - a.start, 0), len(a))
-        if k != min(max(len(other.trace.exact) - b.start, 0), len(b)):
-            return None   # a Fraction may equal a float: compare element-wise
-        if not all(n * q == p * d for (n, d), (p, q)
-                   in zip(self.trace.exact[a.start:a.start + k],
-                          other.trace.exact[b.start:b.start + k])):
-            return False
-        return bool(np.array_equal(self.trace.positions[a.start + k:a.stop],
-                                   other.trace.positions[b.start + k:b.stop]))
-
 
 class Tags(_Column):
     """The irrationality tag of every position."""
@@ -197,11 +167,6 @@ class Tags(_Column):
     def _read(self, lo, hi):
         k = min(max(self.trace.n_tagged - lo, 0), hi - lo)
         return [True] * k + [False] * (hi - lo - k)
-
-    def _same(self, other):
-        a, b = self._range, other._range
-        return (min(max(self.trace.n_tagged - a.start, 0), len(a))
-                == min(max(other.trace.n_tagged - b.start, 0), len(b)))
 
 
 @dataclass(eq=False)
@@ -218,7 +183,8 @@ class Trace:
       which a position loses for good once a map of slope 0 fires.
 
     `labels`, `values` and `tags` are read-only sequence views of these
-    (`Labels`, `Values`, `Tags`).
+    (`Labels`, `Values`, `Tags`). Two traces are equal when their seeds,
+    starts, exact_steps and these three views are; a trace is unhashable.
     """
 
     seed: int
@@ -245,6 +211,13 @@ class Trace:
     @property
     def tags(self) -> Tags:
         return Tags(self, range(len(self.positions)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.seed == other.seed and self.x0 == other.x0
+                and self.exact_steps == other.exact_steps and self.labels == other.labels
+                and self.values == other.values and self.tags == other.tags)
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -553,13 +553,26 @@ class TestTraceViews:
         with pytest.raises(TypeError):
             hash(tr.labels)
 
+    def test_traces_compare_by_their_fields(self):
+        # as the list-based dataclass did: seed, start, exact_steps and the
+        # three columns, and no hash
+        a, b = simulate(STEP, F(5, 7), 300, seed=4), simulate(STEP, F(5, 7), 300, seed=4)
+        assert a == b and not a != b
+        assert a != simulate(STEP, F(5, 7), 300, seed=5)
+        assert a != simulate(STEP, F(5, 7), 301, seed=4)
+        assert a != simulate(STEP, F(5, 7), 300, seed=4, bit_cap=8)
+        assert a != simulate(STEP, "irr:5/7", 300, seed=4) and a != a.values
+        with pytest.raises(TypeError):
+            hash(a)
+
 
 def test_trace_memory_stays_near_its_arrays():
     """A 2*10^5-step trace of step_ninth, both averages over it and one
     prefix comparison peak below 7 times the bytes of the trace's
-    arrays. Here the peak is 9.1 MiB against 1.7 MiB of arrays (the rest:
-    the exact prefix's integer pairs and one chunk of draws); a trace of
-    Python lists peaked at 15.4 MiB."""
+    arrays. Here the peak is 9.6 MiB against 1.7 MiB of arrays (the rest:
+    the exact prefix's integer pairs, one chunk of draws, and one chunk of
+    each side of the comparison); a trace of Python lists peaked at
+    15.4 MiB."""
     fp = fundamental_partition(STEP)
     steps = 200_000
     simulate(STEP, F(5, 7), 10, seed=3)
