@@ -75,6 +75,10 @@ def runs(name: str, path: str):
         # a tagged trace that turns float: the class frequencies read the tags
         yield "simulate_irrational", ["simulate", path, "--x0", "irr:1/5", "--steps",
                                       "20000", "--seed", SEED, "--f", "poly:0,1", "--json"]
+        # the pushed cloud holds untagged floats, so a tagged start is refused
+        yield "rate_irrational_start", ["rate", path, "--start", "irr:1/5", "--seed", "3",
+                                        "--cloud-size", "500", "--steps", "12",
+                                        "--burn", "32", "--json"]
     yield "partition", ["partition", path, "--seed", SEED, "--json"]
     yield "partition_lift10", ["partition", path, "--lift-depth", "10", "--json"]
     yield "graph", ["graph", path, "--seed", SEED, "--json"]

@@ -276,10 +276,8 @@ def _cmd_graph(args, spec, out: _Output) -> int:
     terms = stat.terminal
     out.say(f"terminal components: {terms}")
     if not rec and len(terms) == 1:
-        sub_vertices = set(terms[0])
-        sub_arcs = tuple(a for a in g.arcs if a[1] in sub_vertices and a[2] in sub_vertices)
-        sub = graphmod.Digraph(vertices=tuple(sorted(sub_vertices)), arcs=sub_arcs)
-        out.say(f"recurrent restricted to terminal component: {graphmod.is_recurrent(sub)}")
+        # a terminal component is strongly connected, so recurrent on its own
+        out.say("recurrent restricted to terminal component: True")
 
     def matrix_csv() -> str:
         csv = ["," + ",".join(f"state{j}" for j in range(chain.n_states))]
@@ -359,7 +357,11 @@ def _cmd_rate(args, spec, out: _Output) -> int:
     if args.b is not None:
         bound = float(max(Fraction(1, 3), parse_rational(args.b))) ** 0.5
     ref = dynamics.stationary_cloud(spec, args.cloud_size, args.burn, args.seed + 1)
-    start = np.full(args.cloud_size, float(as_point(args.start).value))
+    point = as_point(args.start)
+    if point.irrational_tag:
+        raise OutOfDomain(f"start {args.start}: the pushed cloud holds untagged "
+                          "floats, so it cannot keep the irrational tag")
+    start = np.full(args.cloud_size, float(point.value))
     report = dynamics.convergence_rate(spec, start, ref, args.steps, args.seed,
                                        bound=bound)
     out.say(f"noise floor: {report.noise_floor!r}")

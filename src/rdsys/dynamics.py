@@ -281,12 +281,7 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
         picks, xs = [], []
         if x is None:
             for u in draws:
-                idx = 0
-                for k, threshold in selectors[row_of(n, d, tag)]:
-                    if u >= threshold:
-                        idx = k
-                    else:
-                        break
+                idx = bisect_right(selectors[row_of(n, d, tag)], u)
                 picks.append(idx)
                 a, c, m = maps[idx]
                 n, d = a * n + c * d, m * d
@@ -301,12 +296,7 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
                 exact.append((n, d))
         for u in draws:   # what the exact loop left of the chunk
             pos = bisect_right(floats, x)
-            idx = 0
-            for k, threshold in selectors[pos * 2 + tag if tagged else pos]:
-                if u >= threshold:
-                    idx = k
-                else:
-                    break
+            idx = bisect_right(selectors[pos * 2 + tag if tagged else pos], u)
             picks.append(idx)
             x = slopes_f[idx] * x + intercepts_f[idx]
             tag = tag and slope_nonzero[idx]

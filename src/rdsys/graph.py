@@ -1,14 +1,25 @@
 """Digraph analysis and exact stationary computations for labeled chains.
 
-The digraph records which cells can follow which under positive-probability
-edges. Stationary weights and first moments are solved exactly over the
-rationals by sparse elimination on the arcs of each terminal strongly
-connected component; transient vertices get weight zero.
+A `Digraph` is one integer multigraph: vertices 0..n-1 and int64 arrays of
+arc tails and heads, with a compressed-row (CSR) view of the out-arcs. One
+iterative Tarjan pass labels every vertex with its strongly connected
+component, and every graph question reads those labels: the components,
+the terminal ones, irreducibility, recurrence (on a finite graph the same
+as strong connectivity) and aperiodicity (the gcd of breadth-first level
+differences along each component's internal arcs). `distances` is the one
+breadth-first search, run backwards on the reverse digraph by the product
+graph of `partition`.
+
+The chain's digraph records which cells can follow which under
+positive-probability edges. Stationary weights and first moments are
+solved exactly over the rationals by sparse elimination on the arcs of
+each terminal strongly connected component; transient vertices get weight
+zero.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,161 +30,161 @@ import numpy as np
 from .model import RdsError, SingularSystem, format_rational
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """A directed multigraph: arcs are (arc_id, initial vertex, terminal vertex)."""
+    """A directed multigraph on the vertices 0..n-1: arc k runs from
+    `src[k]` to `dst[k]`. Parallel arcs and self-loops are allowed."""
 
-    vertices: tuple
-    arcs: tuple
+    def __init__(self, n: int, src, dst):
+        self.n = n
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        if self.src.ndim != 1 or self.src.shape != self.dst.shape:
+            raise RdsError("arc tails and heads must be two lists of one length")
+        bad = np.flatnonzero((np.minimum(self.src, self.dst) < 0)
+                             | (np.maximum(self.src, self.dst) >= n))
+        if bad.size:
+            raise RdsError(f"arc {bad[0]} touches unknown vertex")
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for arc_id, u, v in self.arcs:
-            if u not in vs or v not in vs:
-                raise RdsError(f"arc {arc_id} touches unknown vertex")
+    @functools.cached_property
+    def csr(self) -> tuple:
+        """(indptr, heads): the out-arcs of v lead to heads[indptr[v]:indptr[v + 1]],
+        in arc order."""
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.src, minlength=self.n), out=indptr[1:])
+        return indptr, self.dst[np.argsort(self.src, kind="stable")]
+
+    def reverse(self) -> Digraph:
+        return Digraph(self.n, self.dst, self.src)
+
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        """The strongly connected component of every vertex, numbered in the
+        order Tarjan's algorithm closes them (reverse topological)."""
+        indptr, heads = (a.tolist() for a in self.csr)
+        return np.array(_tarjan(self.n, indptr, heads), dtype=np.int64)
+
+
+def _tarjan(n: int, indptr: list, heads: list) -> list:
+    """Iterative Tarjan (1972) over a CSR digraph: component labels."""
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    nxt = indptr[:n]      # per vertex, its next arc to explore
+    stack, counter, closed = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        call = [root]
+        while call:
+            v = call[-1]
+            i, end = nxt[v], indptr[v + 1]
+            while i < end:
+                w = heads[i]
+                i += 1
+                if index[w] < 0:
+                    break
+                if comp[w] < 0 and index[w] < low[v]:   # w is on the stack
+                    low[v] = index[w]
+            else:
+                call.pop()
+                if call and low[v] < low[call[-1]]:
+                    low[call[-1]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = closed
+                        if w == v:
+                            break
+                    closed += 1
+                continue
+            nxt[v] = i
+            index[w] = low[w] = counter
+            counter += 1
+            stack.append(w)
+            call.append(w)
+    return comp
+
+
+def distances(g: Digraph, sources: np.ndarray, allowed: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+    """Breadth-first distances from the vertices marked in `sources` along
+    the arcs of g, entering only vertices marked in `allowed` (default: all);
+    -1 where no source reaches."""
+    indptr, heads = g.csr
+    dist = np.full(g.n, -1, dtype=np.int64)
+    frontier = np.flatnonzero(sources)
+    dist[frontier] = 0
+    d = 0
+    while frontier.size:
+        lo, hi = indptr[frontier], indptr[frontier + 1]
+        lens = hi - lo
+        pos = np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+        cand = heads[pos]
+        fresh = dist[cand] < 0
+        if allowed is not None:
+            fresh &= allowed[cand]
+        cand = np.unique(cand[fresh])
+        d += 1
+        dist[cand] = d
+        frontier = cand
+    return dist
 
 
 def digraph_of_chain(chain) -> Digraph:
-    arcs = tuple(((s, label), s, chain.target[(s, label)])
-                 for (s, label) in sorted(chain.prob.keys()))
-    return Digraph(vertices=tuple(range(chain.n_states)), arcs=arcs)
+    """One arc per positive (state, label), sorted by (state, label)."""
+    keys = sorted(chain.prob)
+    return Digraph(chain.n_states, [s for s, _ in keys], [chain.target[k] for k in keys])
+
+
+def _count(labels: np.ndarray) -> int:
+    return int(labels.max(initial=-1)) + 1
 
 
 def strongly_connected_components(g: Digraph) -> list:
-    """Tarjan's algorithm; components in reverse topological order."""
-    adj = {v: [] for v in g.vertices}
-    for _, u, v in g.arcs:
-        adj[u].append(v)
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    components = []
-
-    def connect(root):
-        # iterative DFS to keep deep graphs safe
-        work = [(root, iter(adj[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adj[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(comp))
-
-    for v in g.vertices:
-        if v not in index:
-            connect(v)
-    return components
+    """The components as sorted vertex lists, in reverse topological order."""
+    comps = [[] for _ in range(_count(g.components))]
+    for v, k in enumerate(g.components.tolist()):
+        comps[k].append(v)
+    return comps
 
 
 def is_irreducible(g: Digraph) -> bool:
     """True exactly when the digraph is strongly connected."""
-    if not g.vertices:
-        return False
-    return len(strongly_connected_components(g)) == 1
+    return g.n > 0 and _count(g.components) == 1
 
 
 def is_recurrent(g: Digraph) -> bool:
-    """Every vertex is reached from any other by a finite path.
-
-    Checked directly by breadth-first reachability from each vertex, which
-    doubles as an independent oracle for `is_irreducible` on finite graphs.
-    """
-    if not g.vertices:
-        return False
-    adj = {v: set() for v in g.vertices}
-    for _, u, v in g.arcs:
-        adj[u].add(v)
-    targets = set(g.vertices)
-    for start in g.vertices:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if seen != targets:
-            return False
-    return True
+    """Every vertex is reached from any other by a finite path. On a
+    finite graph that is strong connectivity."""
+    return is_irreducible(g)
 
 
 def is_aperiodic(g: Digraph) -> bool:
     """True when every strongly connected component with a cycle has
-    gcd of its cycle lengths equal to 1."""
-    comps = strongly_connected_components(g)
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    adj = {v: [] for v in g.vertices}
-    for _, u, v in g.arcs:
-        if comp_of[u] == comp_of[v]:
-            adj[u].append(v)
-    for comp in comps:
-        if all(not adj[v] for v in comp):
-            continue  # no internal arcs: no cycle through these vertices
-        root = comp[0]
-        level = {root: 0}
-        frontier = [root]
-        g_period = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in level:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-                    g_period = math.gcd(g_period, level[u] + 1 - level[v])
-            frontier = nxt
-        if g_period != 1:
-            return False
-    return True
+    gcd of its cycle lengths equal to 1.
+
+    That gcd is the gcd, over the component's internal arcs u -> v, of
+    level(u) + 1 - level(v), for breadth-first levels from any vertex."""
+    labels = g.components
+    inside = labels[g.src] == labels[g.dst]
+    src, dst = g.src[inside], g.dst[inside]
+    roots = np.zeros(g.n, dtype=bool)
+    roots[np.unique(labels, return_index=True)[1]] = True
+    level = distances(Digraph(g.n, src, dst), roots)
+    period = np.zeros(_count(labels), dtype=np.int64)
+    np.gcd.at(period, labels[src], level[src] + 1 - level[dst])
+    return bool((period[labels[src]] == 1).all())
 
 
 def terminal_components(g: Digraph) -> list:
     """Strongly connected components without outgoing arcs, sorted."""
-    comps = strongly_connected_components(g)
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    has_exit = [False] * len(comps)
-    for _, u, v in g.arcs:
-        if comp_of[u] != comp_of[v]:
-            has_exit[comp_of[u]] = True
-    return sorted([comp for k, comp in enumerate(comps) if not has_exit[k]])
+    labels = g.components
+    tails, heads = labels[g.src], labels[g.dst]
+    exits = np.zeros(_count(labels), dtype=bool)
+    exits[tails[tails != heads]] = True
+    return sorted(comp for comp, out in zip(strongly_connected_components(g), exits)
+                  if not out)
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +325,16 @@ def stationary_distribution(chain, *, exact_max_states: int = 128,
 
 
 def stationary_from_matrix(rows: list) -> StationaryResult:
-    """Stationary weights for an explicit rational transition matrix."""
-    class _MatrixChain:
-        def __init__(self, rows):
-            self.n_states = len(rows)
-            self.prob = {}
-            self.target = {}
-            for i, row in enumerate(rows):
-                for j, p in enumerate(row):
-                    if p != 0:
-                        self.prob[(i, f"{i}->{j}")] = Fraction(p)
-                        self.target[(i, f"{i}->{j}")] = j
-    return stationary_distribution(_MatrixChain(rows))
+    """Stationary weights for an explicit rational transition matrix: the
+    chain whose arc from i with label j leads to state j."""
+    from .partition import LabeledChain
+
+    n = len(rows)
+    prob = {(i, str(j)): Fraction(p) for i, row in enumerate(rows)
+            for j, p in enumerate(row) if p != 0}
+    return stationary_distribution(LabeledChain(
+        n_states=n, labels=tuple(str(j) for j in range(n)), prob=prob,
+        target={(i, j): int(j) for i, j in prob}, reps={}, cells=[]))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,9 @@ steps almost surely and stays in one reachable terminal component.
 
 `ProductGraph` computes this once per chain:
 - a backward breadth-first search in layers from the separating vertices
-  gives every vertex its distance to separation and the next label of its
-  lex-least shortest separating word;
+  (`graph.distances` on the reversed product digraph) gives every vertex
+  its distance to separation and the next label of its lex-least shortest
+  separating word;
 - one Tarjan pass (`graph.terminal_components`) finds the terminal
   components of the separation-free part;
 - a second backward search, from the unbalanced vertices of unbalanced
@@ -335,26 +336,6 @@ class UnbalancedProduct:
                 f"{format_rational(self.p_i)} vs {format_rational(self.p_j)}")
 
 
-def _backward_layers(preds, sources: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Breadth-first distances to `sources` against the arcs, over the
-    vertices in `allowed`; -1 where no source is reachable."""
-    indptr, rev = preds
-    dist = np.full(allowed.size, -1, dtype=np.int64)
-    frontier = np.flatnonzero(sources)
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        lo, hi = indptr[frontier], indptr[frontier + 1]
-        lens = hi - lo
-        pos = np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
-        cand = rev[pos]
-        cand = np.unique(cand[(dist[cand] < 0) & allowed[cand]])
-        d += 1
-        dist[cand] = d
-        frontier = cand
-    return dist
-
-
 class ProductGraph:
     """The shared-label product graph of a chain and every pair's verdict.
 
@@ -388,33 +369,32 @@ class ProductGraph:
             unequal[k] = shared & (pid[k][:, None] != pid[k][None, :]).ravel()
         self.succ = succ
 
-        # predecessor lists (compressed rows, sorted by arc target)
         label_of, src = np.nonzero(succ >= 0)
         dst = succ[label_of, src]
-        order = np.argsort(dst, kind="stable")
-        indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=size), out=indptr[1:])
-        preds = (indptr, src[order])
+        preds = graphmod.Digraph(size, src, dst).reverse()
 
         # 1. separation: distances and the first label of lex-least words
-        everywhere = np.ones(size, dtype=bool)
-        self.sep_dist = _backward_layers(preds, separating.any(axis=0), everywhere)
+        self.sep_dist = graphmod.distances(preds, separating.any(axis=0))
         self.sep_next = self._next_labels(self.sep_dist, np.argmax(separating, axis=0))
 
-        # 2. terminal components of the separation-free part
+        # 2. terminal components of the separation-free part, whose arcs stay
+        # in it; its vertices are renumbered 0..len(keep)-1 in order
         free = self.sep_dist < 0
+        keep = np.flatnonzero(free)
+        renumber = np.full(size, -1, dtype=np.int64)
+        renumber[keep] = np.arange(keep.size)
         on = free[src]
-        terminal = graphmod.terminal_components(graphmod.Digraph(
-            vertices=tuple(np.flatnonzero(free).tolist()),
-            arcs=tuple(zip(range(int(on.sum())), src[on].tolist(), dst[on].tolist()))))
+        terminal = graphmod.terminal_components(
+            graphmod.Digraph(keep.size, renumber[src[on]], renumber[dst[on]]))
         unbalanced = unequal.any(axis=0)
         in_unbalanced = np.zeros(size, dtype=bool)
         for members in terminal:
+            members = keep[members]
             if unbalanced[members].any():
                 in_unbalanced[members] = True
         # 3. the pairs that reach an unbalanced terminal component, with words
         # to its unbalanced vertices
-        self.unbal_dist = _backward_layers(preds, in_unbalanced & unbalanced, free)
+        self.unbal_dist = graphmod.distances(preds, in_unbalanced & unbalanced, free)
         self.unbal_next = self._next_labels(self.unbal_dist, np.argmax(unequal, axis=0))
         self._walks: dict = {}
 
@@ -695,8 +675,9 @@ def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -
     the chain's tables; returns human-readable failures.
 
     Independently of `ProductGraph`, builds the product graph with
-    dictionaries, finds the vertices that reach a separating vertex, and
-    takes the terminal components of the rest from `graph.terminal_components`.
+    dictionaries over the vertices a * n + b, finds the vertices that reach a
+    separating vertex, and takes the terminal components of the rest from
+    `graph.terminal_components`.
     A separating word must walk shared labels and end on a separating one,
     with the recorded masses; a balanced pair must reach no unbalanced
     terminal component; an unbalanced pair's word must lead to the recorded vertex,
@@ -705,20 +686,22 @@ def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -
     balanced.
     """
     n, labels, prob, target = chain.n_states, chain.labels, chain.prob, chain.target
-    vertices = [(a, b) for a in range(n) for b in range(n)]
-    arcs = []
+    size = n * n
+    src, dst = [], []
     preds: dict = {}
     separating = set()
-    for a, b in vertices:
-        for l in labels:
-            in_a, in_b = (a, l) in prob, (b, l) in prob
-            if in_a != in_b:
-                separating.add((a, b))
-            elif in_a:
-                arcs.append(((a, b), (target[(a, l)], target[(b, l)])))
-                preds.setdefault(arcs[-1][1], []).append((a, b))
+    for a in range(n):
+        for b in range(n):
+            for l in labels:
+                in_a, in_b = (a, l) in prob, (b, l) in prob
+                if in_a != in_b:
+                    separating.add(a * n + b)
+                elif in_a:
+                    src.append(a * n + b)
+                    dst.append(target[(a, l)] * n + target[(b, l)])
+                    preds.setdefault(dst[-1], []).append(src[-1])
 
-    def reaching(goal: set, within: set) -> set:
+    def reaching(goal: set, within) -> set:
         seen, todo = set(goal), list(goal)
         while todo:
             for u in preds.get(todo.pop(), ()):
@@ -735,13 +718,16 @@ def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -
             a, b = target[(a, l)], target[(b, l)]
         return a, b
 
-    def unbalanced(v) -> bool:
-        return any(prob.get((v[0], l)) != prob.get((v[1], l)) for l in labels)
+    def unbalanced(v: int) -> bool:
+        a, b = divmod(v, n)
+        return any(prob.get((a, l)) != prob.get((b, l)) for l in labels)
 
-    free = set(vertices) - reaching(separating, set(vertices))
-    terminal = graphmod.terminal_components(graphmod.Digraph(
-        vertices=tuple(sorted(free)),
-        arcs=tuple((k, u, v) for k, (u, v) in enumerate(arcs) if u in free)))
+    free = set(range(size)) - reaching(separating, range(size))
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    on = np.isin(src, list(free))
+    # the vertices outside `free` keep no arcs, so each is a terminal singleton
+    terminal = [c for c in graphmod.terminal_components(
+        graphmod.Digraph(size, src[on], dst[on])) if c[0] in free]
     bad_terminal = set().union(*(c for c in terminal if any(map(unbalanced, c))))
     bad = reaching(bad_terminal, free)
 
@@ -760,13 +746,13 @@ def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -
                                                   chain.word_mass(j, cert.word)):
                     problems.append(f"{where}: separation masses differ")
             elif isinstance(cert, BalancedProduct):
-                if (i, j) not in free or (i, j) in bad:
+                if i * n + j not in free or i * n + j in bad:
                     problems.append(f"{where}: not balanced")
             elif isinstance(cert, UnbalancedProduct):
                 a, b = cert.vertex
-                if (i, j) not in bad:
+                if i * n + j not in bad:
                     problems.append(f"{where}: reaches no unbalanced terminal component")
-                elif walk(i, j, cert.word) != (a, b) or (a, b) not in bad_terminal:
+                elif walk(i, j, cert.word) != (a, b) or a * n + b not in bad_terminal:
                     problems.append(f"{where}: word {format_word(cert.word)} does not "
                                     "lead to the recorded terminal vertex")
                 elif ((prob.get((a, cert.label)), prob.get((b, cert.label)))

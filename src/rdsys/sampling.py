@@ -204,7 +204,10 @@ class EvalTables:
     cell. `thresholds[c]` holds the integer edge
     selection thresholds for cell c; a threshold of 2^64 (unreachable) is
     stored saturated with `never[c, k]` set, and `cap[c]` counts the
-    thresholds that are not. `logp_flat[row * n_edges + k]` is log p_k.
+    thresholds that are not. Unreachable thresholds form a suffix of each
+    row, so with `row_selectors[c]` the list of the reachable ones, the
+    edge index of draw u is `bisect_right(row_selectors[c], u)`.
+    `logp_flat[row * n_edges + k]` is log p_k.
     """
 
     def __init__(self, spec: SystemSpec):
@@ -256,12 +259,10 @@ class EvalTables:
         self.capped = bool(self.never.any())
         self.logp_flat = self.logp.ravel()
 
-        # plain-Python selectors for the scalar hot loop
-        self.row_selectors = []
-        for row in range(n_rows):
-            sel = [(k + 1, int(self.thresholds[row, k]))
-                   for k in range(n_edges - 1) if not self.never[row, k]]
-            self.row_selectors.append(sel)
+        # scalar loop: each row's reachable thresholds, for one bisect_right
+        reachable = ~self.never[:, :n_edges - 1]
+        self.row_selectors = [row[keep].tolist() for row, keep
+                              in zip(self.thresholds[:, :n_edges - 1], reachable)]
 
 
 class VectorPaths:

@@ -1,5 +1,7 @@
+import math
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import settings
 
 from rdsys.model import (AffineMap, Edge, Interval, OutOfDomain,
-                         PiecewiseConstant, Point, SystemSpec, cells_from_cuts)
+                         PiecewiseConstant, Point, RdsError, SystemSpec,
+                         cells_from_cuts)
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -108,6 +111,163 @@ class PartitionLookup:
         if k is None:
             raise OutOfDomain(f"point {p} not covered by any cell")
         return k
+
+
+# ---------------------------------------------------------------------------
+# The digraph of `rdsys.graph` before it held integer arrays, kept verbatim
+# as the oracle: tuple arcs over any hashable vertices, a dict-based Tarjan,
+# the flags and terminal components read off it, and an all-pairs
+# breadth-first `is_recurrent`.
+
+@dataclass(frozen=True)
+class Digraph:
+    """A directed multigraph: arcs are (arc_id, initial vertex, terminal vertex)."""
+
+    vertices: tuple
+    arcs: tuple
+
+    def __post_init__(self):
+        vs = set(self.vertices)
+        for arc_id, u, v in self.arcs:
+            if u not in vs or v not in vs:
+                raise RdsError(f"arc {arc_id} touches unknown vertex")
+
+
+def strongly_connected_components(g: Digraph) -> list:
+    """Tarjan's algorithm; components in reverse topological order."""
+    adj = {v: [] for v in g.vertices}
+    for _, u, v in g.arcs:
+        adj[u].append(v)
+    index = {}
+    lowlink = {}
+    on_stack = set()
+    stack = []
+    counter = [0]
+    components = []
+
+    def connect(root):
+        # iterative DFS to keep deep graphs safe
+        work = [(root, iter(adj[root]))]
+        index[root] = lowlink[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ in it:
+                if succ not in index:
+                    index[succ] = lowlink[succ] = counter[0]
+                    counter[0] += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(adj[succ])))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                components.append(sorted(comp))
+
+    for v in g.vertices:
+        if v not in index:
+            connect(v)
+    return components
+
+
+def is_irreducible(g: Digraph) -> bool:
+    """True exactly when the digraph is strongly connected."""
+    if not g.vertices:
+        return False
+    return len(strongly_connected_components(g)) == 1
+
+
+def is_recurrent(g: Digraph) -> bool:
+    """Every vertex is reached from any other by a finite path.
+
+    Checked directly by breadth-first reachability from each vertex, which
+    doubles as an independent oracle for `is_irreducible` on finite graphs.
+    """
+    if not g.vertices:
+        return False
+    adj = {v: set() for v in g.vertices}
+    for _, u, v in g.arcs:
+        adj[u].add(v)
+    targets = set(g.vertices)
+    for start in g.vertices:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        if seen != targets:
+            return False
+    return True
+
+
+def is_aperiodic(g: Digraph) -> bool:
+    """True when every strongly connected component with a cycle has
+    gcd of its cycle lengths equal to 1."""
+    comps = strongly_connected_components(g)
+    comp_of = {}
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    adj = {v: [] for v in g.vertices}
+    for _, u, v in g.arcs:
+        if comp_of[u] == comp_of[v]:
+            adj[u].append(v)
+    for comp in comps:
+        if all(not adj[v] for v in comp):
+            continue  # no internal arcs: no cycle through these vertices
+        root = comp[0]
+        level = {root: 0}
+        frontier = [root]
+        g_period = 0
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in level:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+                    g_period = math.gcd(g_period, level[u] + 1 - level[v])
+            frontier = nxt
+        if g_period != 1:
+            return False
+    return True
+
+
+def terminal_components(g: Digraph) -> list:
+    """Strongly connected components without outgoing arcs, sorted."""
+    comps = strongly_connected_components(g)
+    comp_of = {}
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    has_exit = [False] * len(comps)
+    for _, u, v in g.arcs:
+        if comp_of[u] != comp_of[v]:
+            has_exit[comp_of[u]] = True
+    return sorted([comp for k, comp in enumerate(comps) if not has_exit[k]])
 
 
 @pytest.fixture

@@ -152,6 +152,18 @@ def test_rate_start_outside_domain_is_invalid_input(step_file, capsys):
     assert "outside domain" in capsys.readouterr().err
 
 
+def test_rate_tagged_start_is_invalid_input(split_file, capsys):
+    # the float cloud carries no tag: an irr: start would run as its rational twin
+    assert run(["rate", split_file, "--seed", "3", "--start", "irr:1/5", "--cloud-size",
+                "20", "--steps", "2", "--burn", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: start irr:1/5")
+    # a rational start on the tagged system keeps a rational orbit
+    assert run(["rate", split_file, "--seed", "3", "--start", "1/5", "--cloud-size",
+                "20", "--steps", "2", "--burn", "2"]) == 0
+
+
 class TestGraph:
     def test_step_graph(self, step_file, tmp_path, capsys):
         outdir = tmp_path / "g"

@@ -323,7 +323,10 @@ def oracle_simulate(spec, x0, steps, seed, *, bit_cap=DENOMINATOR_BIT_CAP):
     intercepts_f = [float(c) for c in intercepts]
     slope_nonzero = [s != 0 for s in slopes]
     edge_ids = tables.edge_ids
-    selectors = tables.row_selectors
+    # the (k + 1, threshold) pairs of each row's reachable thresholds
+    selectors = [[(k + 1, int(tables.thresholds[row, k]))
+                  for k in range(tables.n_edges - 1) if not tables.never[row, k]]
+                 for row in range(len(tables.thresholds))]
     cuts = tables.index.cuts
     row_of, floats, tagged = cuts.row_of, cuts.table.tolist(), cuts.tagged
 

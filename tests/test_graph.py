@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import conftest as oracle
 from rdsys import systems
 from rdsys.graph import (Digraph, MomentResult, aggregated_matrix,
                          digraph_of_chain, eigenvalue_moduli,
@@ -12,7 +13,7 @@ from rdsys.graph import (Digraph, MomentResult, aggregated_matrix,
                          stationary_from_matrix, strongly_connected_components,
                          terminal_components)
 from rdsys.model import (AffineMap, Edge, Interval, PiecewiseConstant,
-                         RefinementBudgetExceeded, SingularSystem, SystemSpec,
+                         RdsError, RefinementBudgetExceeded, SingularSystem, SystemSpec,
                          cells_from_cuts)
 from rdsys.partition import (extract_symbolic_chain, refine_markov_partition,
                              stable_partition)
@@ -34,21 +35,13 @@ def matrix_a3(b):
 
 
 def graph_of_matrix(rows):
-    arcs = []
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v != 0:
-                arcs.append(((i, j), i, j))
-    return Digraph(vertices=tuple(range(len(rows))), arcs=tuple(arcs))
+    arcs = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v != 0]
+    return Digraph(len(rows), [i for i, _ in arcs], [j for _, j in arcs])
 
 
 def random_digraph(rng, n, p):
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < p:
-                arcs.append(((i, j), i, j))
-    return Digraph(vertices=tuple(range(n)), arcs=tuple(arcs))
+    arcs = [(i, j) for i in range(n) for j in range(n) if rng.random() < p]
+    return Digraph(n, [i for i, _ in arcs], [j for _, j in arcs])
 
 
 class TestStructuralFlags:
@@ -66,16 +59,18 @@ class TestStructuralFlags:
         assert not is_recurrent(g)
         terms = terminal_components(g)
         assert terms == [[1, 2, 3]]
-        sub_arcs = tuple(a for a in g.arcs if a[1] in terms[0] and a[2] in terms[0])
-        sub = Digraph(vertices=tuple(terms[0]), arcs=sub_arcs)
+        pos = {v: k for k, v in enumerate(terms[0])}
+        sub_arcs = [(pos[u], pos[v]) for u, v in zip(g.src.tolist(), g.dst.tolist())
+                    if u in pos and v in pos]
+        sub = Digraph(len(pos), [u for u, _ in sub_arcs], [v for _, v in sub_arcs])
         assert is_recurrent(sub)
 
     def test_single_loop_vertex(self):
-        g = Digraph(vertices=(0,), arcs=((("l", 0), 0, 0),))
+        g = Digraph(1, [0], [0])
         assert is_irreducible(g) and is_aperiodic(g) and is_recurrent(g)
 
     def test_two_cycle_periodic(self):
-        g = Digraph(vertices=(0, 1), arcs=((("a",), 0, 1), (("b",), 1, 0)))
+        g = Digraph(2, [0, 1], [1, 0])
         assert is_irreducible(g)
         assert not is_aperiodic(g)
 
@@ -83,7 +78,7 @@ class TestStructuralFlags:
         assert is_aperiodic(graph_of_matrix(matrix_a3(F(1, 2))))
 
     def test_absorbing_unreachable_vertex(self):
-        g = Digraph(vertices=(0, 1), arcs=((("a",), 0, 0), (("b",), 1, 1)))
+        g = Digraph(2, [0, 1], [0, 1])
         assert not is_recurrent(g)
 
     def test_recurrent_iff_irreducible_on_random_graphs(self, rng):
@@ -96,7 +91,39 @@ class TestStructuralFlags:
             g = random_digraph(rng, rng.randint(1, 8), 0.3)
             comps = strongly_connected_components(g)
             flat = sorted(v for comp in comps for v in comp)
-            assert flat == sorted(g.vertices)
+            assert flat == list(range(g.n))
+
+    def test_arc_outside_vertices_rejected(self):
+        with pytest.raises(RdsError, match="arc 1 touches unknown vertex"):
+            Digraph(2, [0, 2], [1, 0])
+        with pytest.raises(RdsError, match="arc 0 touches unknown vertex"):
+            Digraph(0, [0], [0])
+
+
+def test_integer_digraph_matches_tuple_oracle():
+    """Components, terminal components and the three flags against the
+    tuple digraph and dict-based Tarjan of `conftest`, on 200 seeded
+    digraphs with n = 0, self-loops and parallel arcs."""
+    rng = random.Random(0x6A9)
+    seen = {"loops": 0, "parallel": 0, "empty": 0, "flags": set()}
+    for trial in range(200):
+        n = trial if trial < 4 else rng.randint(1, 12)
+        m = rng.randint(0, 3 * n) if n else 0
+        src = [rng.randrange(n) for _ in range(m)]
+        dst = [rng.randrange(n) for _ in range(m)]
+        g = Digraph(n, src, dst)
+        old = oracle.Digraph(vertices=tuple(range(n)), arcs=tuple(zip(range(m), src, dst)))
+        assert strongly_connected_components(g) == oracle.strongly_connected_components(old)
+        assert terminal_components(g) == oracle.terminal_components(old)
+        flags = (is_irreducible(g), is_aperiodic(g), is_recurrent(g))
+        assert flags == (oracle.is_irreducible(old), oracle.is_aperiodic(old),
+                         oracle.is_recurrent(old))
+        seen["flags"].add(flags)
+        seen["loops"] += any(u == v for u, v in zip(src, dst))
+        seen["parallel"] += len(set(zip(src, dst))) < m
+        seen["empty"] += n == 0
+    assert seen["loops"] and seen["parallel"] and seen["empty"], seen
+    assert {f[0] for f in seen["flags"]} == {f[1] for f in seen["flags"]} == {False, True}
 
 
 class TestStationary:

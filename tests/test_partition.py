@@ -3,10 +3,11 @@ from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import conftest as oracle
 from conftest import random_system, triadic_system
-from rdsys import graph as graphmod
 from rdsys import systems
 from rdsys.measures import cylinder_measure
 from rdsys.model import (AffineMap, Edge, Interval, NotPiecewiseConstant,
@@ -450,9 +451,9 @@ def oracle_product_graph(chain, i, j):
 
 def oracle_coupled(chain, i, j) -> bool:
     states, arcs = oracle_product_graph(chain, i, j)
-    g = graphmod.Digraph(vertices=tuple(states), arcs=tuple(arcs))
+    g = oracle.Digraph(vertices=tuple(states), arcs=tuple(arcs))
     return all(any(pair[0] == pair[1] for pair in comp)
-               for comp in graphmod.terminal_components(g))
+               for comp in oracle.terminal_components(g))
 
 
 def oracle_verdicts(chain) -> dict:
@@ -511,7 +512,45 @@ def compare_with_oracle(fp) -> int:
     return undecided
 
 
+def unbalanced_sources_by_oracle(chain, pg) -> set:
+    """The unbalanced vertices a * n + b of unbalanced terminal components
+    of the separation-free part, from the tuple digraph of `conftest`."""
+    n, labels, prob = chain.n_states, chain.labels, chain.prob
+    free = pg.sep_dist < 0
+    arcs = tuple((k, u, v) for k, (u, v) in enumerate(
+        (u, int(pg.succ[l, u])) for l, u in zip(*np.nonzero(pg.succ >= 0))) if free[u])
+    g = oracle.Digraph(vertices=tuple(np.flatnonzero(free).tolist()), arcs=arcs)
+
+    def unequal(v) -> bool:
+        a, b = divmod(v, n)
+        return any(prob.get((a, l)) != prob.get((b, l)) for l in labels)
+
+    return {v for comp in oracle.terminal_components(g) if any(map(unequal, comp))
+            for v in comp if unequal(v)}
+
+
 class TestDifferential:
+    def test_product_graph_against_tuple_oracle(self):
+        """Every certificate re-checks, and the sources of the unbalanced
+        search match the tuple oracle, on seeded random and triadic chains."""
+        rng = random.Random(0x9A1B)
+        specs = [triadic_system(m, random.Random(m), zeros)
+                 for m in (3, 4) for zeros in (False, True)]
+        specs += [random_system(rng) for _ in range(200)]
+        checked = with_sources = 0
+        for spec in specs:
+            try:
+                fp = fundamental_partition(spec)
+            except RefinementBudgetExceeded:
+                continue
+            assert verify_product_certificates(fp.chain, fp) == []
+            pg = ProductGraph(fp.chain)
+            expected = unbalanced_sources_by_oracle(fp.chain, pg)
+            assert set(np.flatnonzero(pg.unbal_dist == 0).tolist()) == expected
+            checked += 1
+            with_sources += bool(expected)
+        assert checked >= 150 and with_sources >= 5, (checked, with_sources)
+
     # the oracle costs O(n^4) Fraction work per system, so random systems
     # with more than 24 breakpoints (up to 73 states here) are skipped
     def test_random_systems(self):
