@@ -141,12 +141,21 @@ def _count(labels: np.ndarray) -> int:
     return int(labels.max(initial=-1)) + 1
 
 
+def _members(g: Digraph, wanted: np.ndarray) -> dict:
+    """Component label -> its ascending vertex list, for the labels marked
+    in `wanted`."""
+    labels = g.components
+    vertices = np.flatnonzero(wanted[labels])
+    comps: dict = {}
+    for v, k in zip(vertices.tolist(), labels[vertices].tolist()):
+        comps.setdefault(k, []).append(v)
+    return comps
+
+
 def strongly_connected_components(g: Digraph) -> list:
     """The components as sorted vertex lists, in reverse topological order."""
-    comps = [[] for _ in range(_count(g.components))]
-    for v, k in enumerate(g.components.tolist()):
-        comps[k].append(v)
-    return comps
+    comps = _members(g, np.ones(_count(g.components), dtype=bool))
+    return [comps[k] for k in range(len(comps))]
 
 
 def is_irreducible(g: Digraph) -> bool:
@@ -183,8 +192,7 @@ def terminal_components(g: Digraph) -> list:
     tails, heads = labels[g.src], labels[g.dst]
     exits = np.zeros(_count(labels), dtype=bool)
     exits[tails[tails != heads]] = True
-    return sorted(comp for comp, out in zip(strongly_connected_components(g), exits)
-                  if not out)
+    return sorted(_members(g, ~exits).values())
 
 
 # ---------------------------------------------------------------------------
