@@ -3,7 +3,11 @@
 
 Runs `rdsys <subcommand>` in-process on each of the five bundled systems
 with fixed seeds and arguments, and writes, per run, the stdout, the exit
-code and every file the run writes with `-o`:
+code and every file the run writes with `-o`. One generated system joins
+them: a seeded triadic chain of 82 states with zero weights, dozens of
+classes and thousands of separated pairs, written to
+OUTDIR/triadic4_0to3/system.txt and run through `partition`, `graph` and
+`simulate`, so the comparison covers the merge on a large chain too:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -21,11 +25,15 @@ Usage: python3 scripts/capture_cli.py OUTDIR
 import argparse
 import contextlib
 import io
+import random
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 from rdsys import systems
 from rdsys.cli import run
+from rdsys.model import AffineMap, Edge, Interval, PiecewiseConstant, SystemSpec
+from rdsys.sysfile import save_system
 
 SEED = "7"
 SYSTEMS = ("step_ninth", "step_twentyseventh", "positive_step",
@@ -44,6 +52,34 @@ DEEP_SYSTEM = "positive_step"
 SAMPLED_SYSTEM = "step_ninth"
 # an irrational start on the system whose probabilities read the tag
 TAGGED_SYSTEM = "rational_split"
+
+
+GENERATED = "triadic4_0to3"
+
+
+def triadic_zeros(m: int, rng: random.Random) -> SystemSpec:
+    """Maps x/3 + e/3 (e = 0, 1, 2) on [0,1]; probabilities constant on the
+    cells cut at (j/3^m, +1), from seeded weights 0..3 per edge."""
+    n = 3 ** m
+    cells = [Interval(F(0), F(1, n))] + [
+        Interval(F(j, n), F(j + 1, n), False, True) for j in range(1, n)]
+    probs = []
+    for _cell in cells:
+        w = [0, 0, 0]
+        while sum(w) == 0:
+            w = [rng.randint(0, 3) for _ in range(3)]
+        probs.append([F(v, sum(w)) for v in w])
+    return SystemSpec(domain=Interval(F(0), F(1)), edges=tuple(
+        Edge(str(e), AffineMap(F(1, 3), F(e, 3)),
+             PiecewiseConstant(tuple((c, p[e]) for c, p in zip(cells, probs))))
+        for e in range(3)))
+
+
+def generated_runs(path: str):
+    yield "partition", ["partition", path, "--seed", SEED, "--json"]
+    yield "graph", ["graph", path, "--seed", SEED, "--json"]
+    yield "simulate", ["simulate", path, "--x0", "1/3", "--steps", "2000",
+                       "--seed", SEED, "--f", "poly:0,1", "--json"]
 
 
 def runs(name: str, path: str):
@@ -96,9 +132,13 @@ def main() -> int:
     ap.add_argument("outdir", help="directory for the captured outputs")
     args = ap.parse_args()
     root = Path(args.outdir)
-    for name in SYSTEMS:
-        path = str(systems.bundled_path(name))
-        for run_name, argv in runs(name, path):
+    generated = root / GENERATED / "system.txt"
+    generated.parent.mkdir(parents=True, exist_ok=True)
+    save_system(triadic_zeros(4, random.Random(int(SEED))), generated)
+    plan = [(name, runs(name, str(systems.bundled_path(name)))) for name in SYSTEMS]
+    plan.append((GENERATED, generated_runs(str(generated))))
+    for name, named_runs in plan:
+        for run_name, argv in named_runs:
             where = root / name / run_name
             where.mkdir(parents=True, exist_ok=True)
             out, err = io.StringIO(), io.StringIO()

@@ -252,7 +252,6 @@ def _cmd_partition(args, spec, out: _Output) -> int:
         "breakpoints": [format_rational(b) for b in fp.partition.breakpoints],
         "classes": {info.class_id: info.describe() for info in fp.classes},
         "certificates": {f"{i},{j}": str(c) for (i, j), c in sorted(fp.certificates.items())},
-        "statistical": fp.statistical,
         "lift_defect": format_rational(worst),
         "operator_defect": format_rational(worst_u),
     }
@@ -261,9 +260,8 @@ def _cmd_partition(args, spec, out: _Output) -> int:
 
 
 def _cmd_graph(args, spec, out: _Output) -> int:
-    params = partmod.PartitionParams(refinement_cap=args.refine_cap)
-    fp = partmod.fundamental_partition(spec, params)
-    chain = fp.chain
+    chain = partmod.extract_symbolic_chain(
+        spec, partmod.stable_partition(spec, args.refine_cap))
     g = graphmod.digraph_of_chain(chain)
     irr = graphmod.is_irreducible(g)
     aper = graphmod.is_aperiodic(g)

@@ -5,7 +5,8 @@ function is constant and every map sends a cell into a single cell, reads
 off the finite labeled chain, and then decides exactly, for every pair of
 cells, whether the path measures started inside them are mutually
 absolutely continuous. The equivalent cells merge into classes, producing
-a reduced edge set with a label projection back onto the original edges.
+a reduced edge set with a label projection back onto the original edges:
+the fundamental Markov system.
 
 All pairs are decided from one graph, the shared-label product graph of
 the chain. Its vertices are the ordered state pairs (a, b); its arc with
@@ -52,8 +53,11 @@ steps almost surely and stays in one reachable terminal component.
 - a second backward search, from the unbalanced vertices of unbalanced
   terminal components, marks the pairs that reach one and gives each a
   lex-least shortest word to such a vertex.
-Each pair then gets one finite certificate, re-checked by
-`verify_product_certificates`: `SupportSeparation` (case 1),
+A pair is *balanced* when both searches leave it unreached. The classes
+are read off the n x n matrix of balanced pairs (`fundamental_partition`),
+which must be an equivalence relation. Each pair's finite certificate,
+built from the same arrays only when asked for and re-checked by
+`verify_product_certificates`, is `SupportSeparation` (case 1),
 `BalancedProduct` (equivalent; diagonal coupling is the special case in
 which every reachable terminal component lies on the diagonal) or
 `UnbalancedProduct` (not equivalent, with no support gap).
@@ -62,6 +66,7 @@ which every reachable terminal component lies on the diagonal) or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -491,12 +496,19 @@ class FmsEdge:
 class FundamentalPartition:
     partition: IntervalPartition
     chain: LabeledChain
+    product: ProductGraph
     classes: list                   # of ClassInfo
     state_class: dict               # chain state -> class id
     fms_edges: list                 # of FmsEdge
-    certificates: dict              # (i, j) state pair, i < j -> certificate
     merged_pairs: list              # (i, j, "exact") actually merged
-    statistical: bool               # always False: no merge rests on sampling
+
+    @cached_property
+    def certificates(self) -> dict:
+        """(i, j) state pair, i < j -> certificate, read off `product` on
+        first use."""
+        n = self.chain.n_states
+        return {(i, j): self.product.certificate(i, j)
+                for i in range(n) for j in range(i + 1, n)}
 
     def class_count(self) -> int:
         return len(self.classes)
@@ -507,46 +519,31 @@ class FundamentalPartition:
 
 def fundamental_partition(spec: SystemSpec,
                           params: Optional[PartitionParams] = None) -> FundamentalPartition:
-    """Full pipeline: stable partition, symbolic chain, the exact
-    certificate of every pair from one product graph, merge of the
-    equivalent pairs, and the reduced labeled system with its label
-    projection."""
+    """Full pipeline: stable partition, symbolic chain, its product graph,
+    the classes of the balanced pairs, and the reduced labeled system with
+    its label projection. Each state joins the first state it is balanced
+    with; the balanced pairs must be exactly the pairs sharing a class, else
+    `InconsistentMerge`. Certificates are built only when read."""
     params = params or PartitionParams()
     part = stable_partition(spec, params.refinement_cap)
     chain = extract_symbolic_chain(spec, part)
     product = ProductGraph(chain)
 
-    certificates = {}
-    merged = []
-    parent = list(range(chain.n_states))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(chain.n_states):
-        for j in range(i + 1, chain.n_states):
-            cert = product.certificate(i, j)
-            certificates[(i, j)] = cert
-            if isinstance(cert, BalancedProduct):
-                merged.append((i, j, "exact"))
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    # coherence: no separated pair may end up merged
-    for (i, j), cert in certificates.items():
-        if isinstance(cert, SupportSeparation) and find(i) == find(j):
-            raise InconsistentMerge(
-                f"states {i},{j} merged transitively but separated by "
-                f"word {format_word(cert.word)}")
+    n = chain.n_states
+    balanced = ((product.sep_dist < 0) & (product.unbal_dist < 0)).reshape(n, n)
+    root = np.argmax(balanced, axis=1)
+    wrong = np.argwhere(balanced != (root[:, None] == root[None, :]))
+    if wrong.size:
+        i, j = wrong[0].tolist()
+        raise InconsistentMerge(
+            f"states {i},{j} are balanced but in different classes" if balanced[i, j]
+            else f"states {i},{j} share a class but are not balanced")
+    merged = [(i, j, "exact") for i, j in np.argwhere(np.triu(balanced, 1)).tolist()]
 
     groups: dict = {}
-    for s in range(chain.n_states):
-        groups.setdefault(find(s), []).append(s)
-    ordered = [tuple(groups[root]) for root in sorted(groups)]
+    for s, r in enumerate(root.tolist()):
+        groups.setdefault(r, []).append(s)
+    ordered = [tuple(groups[r]) for r in sorted(groups)]
 
     state_class = {}
     classes = []
@@ -574,9 +571,8 @@ def fundamental_partition(spec: SystemSpec,
             fms_edges.append(FmsEdge(info.class_id, label, targets.pop()))
 
     return FundamentalPartition(
-        partition=part, chain=chain, classes=classes, state_class=state_class,
-        fms_edges=fms_edges, certificates=certificates, merged_pairs=merged,
-        statistical=False)
+        partition=part, chain=chain, product=product, classes=classes,
+        state_class=state_class, fms_edges=fms_edges, merged_pairs=merged)
 
 
 def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
@@ -585,14 +581,13 @@ def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
     the chain's measure from its cell, so the certificate decides the pair
     of points exactly."""
     try:
-        part = stable_partition(spec)
-        chain = extract_symbolic_chain(spec, part)
+        fp = fundamental_partition(spec)
     except (RefinementBudgetExceeded, NotPiecewiseConstant, NonConstantOnCell,
             ImageSplitsCells):
         return None
-    i = part.cell_of_point(as_point(x))
-    j = part.cell_of_point(as_point(y))
-    return ProductGraph(chain).certificate(i, j)
+    i = fp.partition.cell_of_point(as_point(x))
+    j = fp.partition.cell_of_point(as_point(y))
+    return fp.product.certificate(i, j)
 
 
 def classify_point(fp: FundamentalPartition, x: PointLike) -> int:

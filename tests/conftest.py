@@ -3,14 +3,18 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
 from hypothesis import settings
 
-from rdsys.model import (AffineMap, Edge, Interval, OutOfDomain,
-                         PiecewiseConstant, Point, RdsError, SystemSpec,
-                         cells_from_cuts)
+from rdsys.model import (AffineMap, Edge, InconsistentMerge, Interval,
+                         OutOfDomain, PiecewiseConstant, Point, RdsError,
+                         SystemSpec, cells_from_cuts, format_word)
+from rdsys.partition import (BalancedProduct, ClassInfo, FmsEdge,
+                             PartitionParams, ProductGraph, SupportSeparation,
+                             extract_symbolic_chain, stable_partition)
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -268,6 +272,80 @@ def terminal_components(g: Digraph) -> list:
         if comp_of[u] != comp_of[v]:
             has_exit[comp_of[u]] = True
     return sorted([comp for k, comp in enumerate(comps) if not has_exit[k]])
+
+
+# ---------------------------------------------------------------------------
+# The merge of `partition.fundamental_partition` before it read the classes
+# off the product graph's balanced matrix, kept verbatim as the oracle: every
+# pair's certificate built eagerly, a union-find over the balanced pairs and
+# a rescan for merged separated pairs. It returns the fields in a namespace.
+
+def union_find_partition(spec: SystemSpec, params=None) -> SimpleNamespace:
+    params = params or PartitionParams()
+    part = stable_partition(spec, params.refinement_cap)
+    chain = extract_symbolic_chain(spec, part)
+    product = ProductGraph(chain)
+
+    certificates = {}
+    merged = []
+    parent = list(range(chain.n_states))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(chain.n_states):
+        for j in range(i + 1, chain.n_states):
+            cert = product.certificate(i, j)
+            certificates[(i, j)] = cert
+            if isinstance(cert, BalancedProduct):
+                merged.append((i, j, "exact"))
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+
+    # coherence: no separated pair may end up merged
+    for (i, j), cert in certificates.items():
+        if isinstance(cert, SupportSeparation) and find(i) == find(j):
+            raise InconsistentMerge(
+                f"states {i},{j} merged transitively but separated by "
+                f"word {format_word(cert.word)}")
+
+    groups: dict = {}
+    for s in range(chain.n_states):
+        groups.setdefault(find(s), []).append(s)
+    ordered = [tuple(groups[root]) for root in sorted(groups)]
+
+    state_class = {}
+    classes = []
+    for cid, states in enumerate(ordered):
+        for s in states:
+            state_class[s] = cid
+        support = chain.support(states[0])
+        for s in states[1:]:
+            if chain.support(s) != support:
+                raise InconsistentMerge(
+                    f"class {cid} mixes states with different label supports")
+        classes.append(ClassInfo(
+            class_id=cid, states=states,
+            cells=tuple(chain.cells[s] for s in states),
+            rep=chain.reps[states[0]], support=support))
+
+    fms_edges = []
+    for info in classes:
+        for label in info.support:
+            targets = {state_class[chain.target[(s, label)]] for s in info.states}
+            if len(targets) != 1:
+                raise InconsistentMerge(
+                    f"label {label} from class {info.class_id} lands in "
+                    f"several classes {sorted(targets)}; evidence incomplete")
+            fms_edges.append(FmsEdge(info.class_id, label, targets.pop()))
+
+    return SimpleNamespace(
+        partition=part, chain=chain, classes=classes, state_class=state_class,
+        fms_edges=fms_edges, certificates=certificates, merged_pairs=merged)
 
 
 @pytest.fixture

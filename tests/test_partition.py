@@ -8,11 +8,13 @@ import pytest
 
 import conftest as oracle
 from conftest import random_system, triadic_system
-from rdsys import systems
+from rdsys import partition, systems
+from rdsys.cli import run
+from rdsys.dynamics import class_frequencies, simulate
 from rdsys.measures import cylinder_measure
-from rdsys.model import (AffineMap, Edge, Interval, NotPiecewiseConstant,
-                         OutOfDomain, PiecewiseConstant, Point,
-                         RefinementBudgetExceeded, SystemSpec)
+from rdsys.model import (AffineMap, Edge, InconsistentMerge, Interval,
+                         NotPiecewiseConstant, OutOfDomain, PiecewiseConstant,
+                         Point, RefinementBudgetExceeded, SystemSpec)
 from rdsys.partition import (BalancedProduct, Cell, LabeledChain,
                              PartitionParams, ProductGraph, SupportSeparation,
                              UnbalancedProduct, adjoint_discrepancy,
@@ -348,7 +350,6 @@ class TestProductCertificates:
         fp = fundamental_partition(triadic_system(5, random.Random(1)))
         assert fp.chain.n_states == 244
         assert fp.class_count() == 1
-        assert not fp.statistical
         assert set(fp.certificates.values()) == {BalancedProduct()}
         assert len(fp.merged_pairs) == 244 * 243 // 2
 
@@ -574,13 +575,35 @@ class TestDifferential:
         fp = fundamental_partition(triadic_system(3, random.Random(1), zeros))
         assert compare_with_oracle(fp) == 0
 
+    def test_merge_against_union_find(self):
+        """The classes read off the balanced matrix equal the union-find
+        merge over eagerly built certificates, field by field and in order."""
+        rng = random.Random(0x5EED)
+        specs = [triadic_system(m, random.Random(m), zeros)
+                 for m in (3, 4) for zeros in (False, True)]
+        specs += [build() for build in systems.BUILDERS.values()]
+        specs += [random_system(rng) for _ in range(200)]
+        compared = 0
+        for spec in specs:
+            try:
+                old = oracle.union_find_partition(spec)
+            except RefinementBudgetExceeded:
+                continue
+            fp = fundamental_partition(spec)
+            assert fp.classes == old.classes
+            assert fp.state_class == old.state_class
+            assert fp.merged_pairs == old.merged_pairs
+            assert fp.fms_edges == old.fms_edges
+            assert list(fp.certificates.items()) == list(old.certificates.items())
+            compared += 1
+        assert compared >= 159, compared   # the 9 fixed systems, 150 random ones
+
 
 class TestFundamentalPartition:
     def test_step_four_classes(self):
         fp = fundamental_partition(STEP, small_params())
         assert [info.describe() for info in fp.classes] == \
             ["{0}", "(0,1/9]", "(1/9,1/3]", "(1/3,1]"]
-        assert not fp.statistical
         assert fp.merged_pairs == []
 
     def test_positive_step_single_class(self):
@@ -592,7 +615,6 @@ class TestFundamentalPartition:
     def test_split_two_classes_exact(self):
         fp = fundamental_partition(SPLIT, small_params())
         assert fp.class_count() == 2
-        assert not fp.statistical
         assert isinstance(fp.certificates[(0, 1)], UnbalancedProduct)
 
     def test_certificate_coherence(self):
@@ -616,6 +638,40 @@ class TestFundamentalPartition:
         a = partition_report(fundamental_partition(SPLIT, small_params()))
         b = partition_report(fundamental_partition(SPLIT, small_params()))
         assert a == b
+
+    def test_non_transitive_balance_raises(self, monkeypatch):
+        """0~1 and 1~2 balanced but (0, 2) unbalanced: no classes exist."""
+        class Forged(ProductGraph):
+            def __init__(self, chain):
+                super().__init__(chain)
+                n = self.n
+                for v in (0 * n + 2, 2 * n + 0):
+                    self.unbal_dist[v], self.unbal_next[v] = 0, 0
+
+        spec = triadic_system(1, random.Random(1))
+        assert fundamental_partition(spec).class_count() == 1
+        monkeypatch.setattr(partition, "ProductGraph", Forged)
+        with pytest.raises(InconsistentMerge):
+            fundamental_partition(spec)
+
+    def test_certificates_built_on_first_read(self, monkeypatch, capsys):
+        calls, built = [], []
+        certificate, init = ProductGraph.certificate, ProductGraph.__init__
+        monkeypatch.setattr(ProductGraph, "certificate",
+                            lambda self, i, j: calls.append((i, j)) or certificate(self, i, j))
+        monkeypatch.setattr(ProductGraph, "__init__",
+                            lambda self, chain: built.append(chain) or init(self, chain))
+        path = str(systems.bundled_path("step_twentyseventh"))
+        assert run(["graph", path]) == 0
+        assert built == []
+        fp = fundamental_partition(STEP27)
+        class_frequencies(simulate(STEP27, F(1, 3), 200, 5), fp)
+        assert run(["simulate", path, "--x0", "1/3", "--steps", "200", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert calls == []
+        certs = fp.certificates
+        assert len(calls) == len(certs) == 5 * 4 // 2
+        assert fp.certificates is certs and len(calls) == 10
 
     def test_partition_needs_no_seed(self):
         a = partition_report(fundamental_partition(SPLIT, PartitionParams()))
