@@ -3,11 +3,14 @@
 
 Runs `rdsys <subcommand>` in-process on each of the five bundled systems
 with fixed seeds and arguments, and writes, per run, the stdout, the exit
-code and every file the run writes with `-o`. One generated system joins
-them: a seeded triadic chain of 82 states with zero weights, dozens of
-classes and thousands of separated pairs, written to
+code and every file the run writes with `-o`. Two generated systems join
+them, seeded triadic chains of 82 states, so the comparison covers the
+merge on a large chain too. With weights 0..3 the chain has dozens of
+classes and thousands of separated pairs; it is written to
 OUTDIR/triadic4_0to3/system.txt and run through `partition`, `graph` and
-`simulate`, so the comparison covers the merge on a large chain too:
+`simulate`. With weights 1..4 it is one class of 3,321 merged pairs; it is
+written to OUTDIR/triadic4_1to4/system.txt and run through `partition` and
+`graph`:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -54,12 +57,13 @@ SAMPLED_SYSTEM = "step_ninth"
 TAGGED_SYSTEM = "rational_split"
 
 
-GENERATED = "triadic4_0to3"
+# generated system -> the lowest of its four seeded weights
+GENERATED = {"triadic4_0to3": 0, "triadic4_1to4": 1}
 
 
-def triadic_zeros(m: int, rng: random.Random) -> SystemSpec:
+def triadic(m: int, rng: random.Random, low: int) -> SystemSpec:
     """Maps x/3 + e/3 (e = 0, 1, 2) on [0,1]; probabilities constant on the
-    cells cut at (j/3^m, +1), from seeded weights 0..3 per edge."""
+    cells cut at (j/3^m, +1), from seeded weights low..low+3 per edge."""
     n = 3 ** m
     cells = [Interval(F(0), F(1, n))] + [
         Interval(F(j, n), F(j + 1, n), False, True) for j in range(1, n)]
@@ -67,7 +71,7 @@ def triadic_zeros(m: int, rng: random.Random) -> SystemSpec:
     for _cell in cells:
         w = [0, 0, 0]
         while sum(w) == 0:
-            w = [rng.randint(0, 3) for _ in range(3)]
+            w = [rng.randint(low, low + 3) for _ in range(3)]
         probs.append([F(v, sum(w)) for v in w])
     return SystemSpec(domain=Interval(F(0), F(1)), edges=tuple(
         Edge(str(e), AffineMap(F(1, 3), F(e, 3)),
@@ -75,11 +79,12 @@ def triadic_zeros(m: int, rng: random.Random) -> SystemSpec:
         for e in range(3)))
 
 
-def generated_runs(path: str):
+def generated_runs(path: str, low: int):
     yield "partition", ["partition", path, "--seed", SEED, "--json"]
     yield "graph", ["graph", path, "--seed", SEED, "--json"]
-    yield "simulate", ["simulate", path, "--x0", "1/3", "--steps", "2000",
-                       "--seed", SEED, "--f", "poly:0,1", "--json"]
+    if low == 0:
+        yield "simulate", ["simulate", path, "--x0", "1/3", "--steps", "2000",
+                           "--seed", SEED, "--f", "poly:0,1", "--json"]
 
 
 def runs(name: str, path: str):
@@ -132,11 +137,12 @@ def main() -> int:
     ap.add_argument("outdir", help="directory for the captured outputs")
     args = ap.parse_args()
     root = Path(args.outdir)
-    generated = root / GENERATED / "system.txt"
-    generated.parent.mkdir(parents=True, exist_ok=True)
-    save_system(triadic_zeros(4, random.Random(int(SEED))), generated)
     plan = [(name, runs(name, str(systems.bundled_path(name)))) for name in SYSTEMS]
-    plan.append((GENERATED, generated_runs(str(generated))))
+    for name, low in GENERATED.items():
+        generated = root / name / "system.txt"
+        generated.parent.mkdir(parents=True, exist_ok=True)
+        save_system(triadic(4, random.Random(int(SEED)), low), generated)
+        plan.append((name, generated_runs(str(generated), low)))
     for name, named_runs in plan:
         for run_name, argv in named_runs:
             where = root / name / run_name

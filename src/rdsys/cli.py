@@ -311,9 +311,6 @@ def _cmd_graph(args, spec, out: _Output) -> int:
     moduli = graphmod.eigenvalue_moduli(chain)
     out.say("eigenvalue moduli (diagnostic, float): "
             + ", ".join(f"{m:.6f}" for m in moduli))
-    out.say("stability note: a unique stationary distribution is predicted "
-            "exactly when the reduced system is recurrent"
-            + ("" if rec else " (here: only its terminal component is)"))
     out.flush(tree if args.json else None)
     return EXIT_OK
 

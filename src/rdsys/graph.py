@@ -305,16 +305,15 @@ def _residual(chain, pi: dict) -> Fraction:
     return max((abs(flow[v] - pi[v]) for v in pi), default=Fraction(0))
 
 
-def stationary_distribution(chain, *, exact_max_states: int = 128,
-                            power_tol: float = 1e-12) -> StationaryResult:
+def stationary_distribution(chain, *, exact_max_states: int = 128) -> StationaryResult:
     """Exact stationary weights of the aggregated chain, at every size.
 
     Solved by sparse rational elimination on each terminal strongly
     connected component (transient vertices get weight zero) and checked
     exactly: a nonzero residual raises. When several terminal components
     exist the result is flagged non-unique and carries one exact solution
-    each. There is no float fallback; `exact_max_states` and `power_tol`
-    are accepted for compatibility and ignored.
+    each. There is no float fallback; `exact_max_states` is accepted and
+    ignored, and retires with the benchmark refresh that stops passing it.
     """
     terms = terminal_components(digraph_of_chain(chain))
     component_pis = []

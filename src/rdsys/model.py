@@ -67,7 +67,8 @@ class ImageSplitsCells(RdsError):
 
 
 class InconsistentMerge(RdsError):
-    """Transitive merge closure contradicts a separation certificate."""
+    """The balanced pairs are not the same-class pairs, or a class's states
+    differ in their label supports or in the classes their labels lead to."""
 
 
 class SingularSystem(RdsError):

@@ -55,12 +55,17 @@ steps almost surely and stays in one reachable terminal component.
   lex-least shortest word to such a vertex.
 A pair is *balanced* when both searches leave it unreached. The classes
 are read off the n x n matrix of balanced pairs (`fundamental_partition`),
-which must be an equivalence relation. Each pair's finite certificate,
-built from the same arrays only when asked for and re-checked by
-`verify_product_certificates`, is `SupportSeparation` (case 1),
-`BalancedProduct` (equivalent; diagonal coupling is the special case in
-which every reachable terminal component lies on the diagonal) or
-`UnbalancedProduct` (not equivalent, with no support gap).
+which must be an equivalence relation. Mapped to classes, the per-label
+target table gives `lands[k, s]`: the class label k takes state s to, or
+-1 where s lacks k. A -1 entry is a missing label and any other entry a
+target class, so one comparison of each state's column with its class
+leader's checks the label supports and the reduced edges together; the
+leaders' columns are the fundamental Markov system. Each pair's finite
+certificate, built from the same arrays only when asked for and
+re-checked by `verify_product_certificates`, is `SupportSeparation`
+(case 1), `BalancedProduct` (equivalent; diagonal coupling is the special
+case in which every reachable terminal component lies on the diagonal)
+or `UnbalancedProduct` (not equivalent, with no support gap).
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -344,9 +350,9 @@ class UnbalancedProduct:
 class ProductGraph:
     """The shared-label product graph of a chain and every pair's verdict.
 
-    Vertex a * n + b stands for the ordered pair (a, b). All arrays are
-    indexed by vertex; `certificate(i, j)` reads the pair's certificate off
-    them without walking the graph again.
+    Vertex a * n + b stands for the ordered pair (a, b). All arrays but
+    `tgt` are indexed by vertex; `certificate(i, j)` reads the pair's
+    certificate off them without walking the graph again.
     """
 
     def __init__(self, chain: LabeledChain):
@@ -372,7 +378,7 @@ class ProductGraph:
             separating[k] = (has[:, None] != has[None, :]).ravel()
             succ[k] = np.where(shared, (tgt[k][:, None] * n + tgt[k][None, :]).ravel(), -1)
             unequal[k] = shared & (pid[k][:, None] != pid[k][None, :]).ravel()
-        self.succ = succ
+        self.tgt, self.succ = tgt, succ
 
         label_of, src = np.nonzero(succ >= 0)
         dst = succ[label_of, src]
@@ -500,7 +506,6 @@ class FundamentalPartition:
     classes: list                   # of ClassInfo
     state_class: dict               # chain state -> class id
     fms_edges: list                 # of FmsEdge
-    merged_pairs: list              # (i, j, "exact") actually merged
 
     @cached_property
     def certificates(self) -> dict:
@@ -522,7 +527,10 @@ def fundamental_partition(spec: SystemSpec,
     """Full pipeline: stable partition, symbolic chain, its product graph,
     the classes of the balanced pairs, and the reduced labeled system with
     its label projection. Each state joins the first state it is balanced
-    with; the balanced pairs must be exactly the pairs sharing a class, else
+    with, its leader; the balanced pairs must be exactly the pairs sharing
+    a class. In `lands != lands[:, root]` a -1 entry is a missing label and
+    any other a target class, so it flags a state whose support or whose
+    label targets differ from its leader's. Each failure raises
     `InconsistentMerge`. Certificates are built only when read."""
     params = params or PartitionParams()
     part = stable_partition(spec, params.refinement_cap)
@@ -538,41 +546,34 @@ def fundamental_partition(spec: SystemSpec,
         raise InconsistentMerge(
             f"states {i},{j} are balanced but in different classes" if balanced[i, j]
             else f"states {i},{j} share a class but are not balanced")
-    merged = [(i, j, "exact") for i, j in np.argwhere(np.triu(balanced, 1)).tolist()]
 
-    groups: dict = {}
-    for s, r in enumerate(root.tolist()):
-        groups.setdefault(r, []).append(s)
-    ordered = [tuple(groups[r]) for r in sorted(groups)]
+    cls = np.unique(root, return_inverse=True)[1]
+    lands = np.where(product.tgt >= 0, cls[product.tgt], -1)
+    wrong = np.argwhere((lands != lands[:, root]).T)
+    if wrong.size:
+        s, k = wrong[0].tolist()
+        ends = lands[k, [s, root[s]]]
+        raise InconsistentMerge(
+            f"class {cls[s]} mixes states with different label supports" if ends.min() < 0
+            else f"label {chain.labels[k]} from class {cls[s]} lands in several classes "
+            f"{sorted(ends.tolist())}; evidence incomplete")
 
-    state_class = {}
-    classes = []
-    for cid, states in enumerate(ordered):
-        for s in states:
-            state_class[s] = cid
-        support = chain.support(states[0])
-        for s in states[1:]:
-            if chain.support(s) != support:
-                raise InconsistentMerge(
-                    f"class {cid} mixes states with different label supports")
+    state_class = dict(enumerate(cls.tolist()))
+    groups: dict = {}   # in class order: a class's leader is its least state
+    for s, c in state_class.items():
+        groups.setdefault(c, []).append(s)
+    cols = lands.T.tolist()
+    classes, fms_edges = [], []
+    for cid, states in enumerate(groups.values()):
+        out = [(label, t) for label, t in zip(chain.labels, cols[states[0]]) if t >= 0]
         classes.append(ClassInfo(
-            class_id=cid, states=states,
-            cells=tuple(chain.cells[s] for s in states),
-            rep=chain.reps[states[0]], support=support))
-
-    fms_edges = []
-    for info in classes:
-        for label in info.support:
-            targets = {state_class[chain.target[(s, label)]] for s in info.states}
-            if len(targets) != 1:
-                raise InconsistentMerge(
-                    f"label {label} from class {info.class_id} lands in "
-                    f"several classes {sorted(targets)}; evidence incomplete")
-            fms_edges.append(FmsEdge(info.class_id, label, targets.pop()))
+            class_id=cid, states=tuple(states), cells=tuple(chain.cells[s] for s in states),
+            rep=chain.reps[states[0]], support=tuple(label for label, _t in out)))
+        fms_edges += [FmsEdge(cid, label, t) for label, t in out]
 
     return FundamentalPartition(
         partition=part, chain=chain, product=product, classes=classes,
-        state_class=state_class, fms_edges=fms_edges, merged_pairs=merged)
+        state_class=state_class, fms_edges=fms_edges)
 
 
 def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
@@ -782,7 +783,8 @@ def partition_report(fp: FundamentalPartition) -> str:
     lines.append("reduced edges (class,label) -> target [projection=label]:")
     for fe in fp.fms_edges:
         lines.append(f"  ({fe.class_id},{fe.label}) -> {fe.target}")
-    merges = [f"({i},{j}) {grade}" for i, j, grade in fp.merged_pairs]
+    merges = [f"({i},{j}) exact" for i, j in
+              sorted(pair for info in fp.classes for pair in combinations(info.states, 2))]
     lines.append("merges: " + ("; ".join(merges) if merges else "(none)"))
     lines.append("evidence grade: all certificates exact")
     return "\n".join(lines) + "\n"

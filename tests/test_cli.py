@@ -179,6 +179,14 @@ class TestGraph:
         pi = (outdir / "stationary.csv").read_text()
         assert "1,1/7" in pi and "3,4/7" in pi
 
+    def test_no_unproven_stability_note(self, split_file, capsys):
+        # two terminal components, so no unique stationary law: nothing may
+        # predict one from recurrence
+        assert run(["graph", split_file]) == 0
+        out = capsys.readouterr().out
+        assert "stationary weights are NOT unique" in out
+        assert "stability note" not in out
+
 
 class TestSimulate:
     def test_trace_outputs(self, step_file, tmp_path, capsys):

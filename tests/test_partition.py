@@ -351,7 +351,6 @@ class TestProductCertificates:
         assert fp.chain.n_states == 244
         assert fp.class_count() == 1
         assert set(fp.certificates.values()) == {BalancedProduct()}
-        assert len(fp.merged_pairs) == 244 * 243 // 2
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +579,7 @@ class TestDifferential:
         merge over eagerly built certificates, field by field and in order."""
         rng = random.Random(0x5EED)
         specs = [triadic_system(m, random.Random(m), zeros)
-                 for m in (3, 4) for zeros in (False, True)]
+                 for m in (3, 4, 5) for zeros in (False, True)]
         specs += [build() for build in systems.BUILDERS.values()]
         specs += [random_system(rng) for _ in range(200)]
         compared = 0
@@ -592,11 +591,12 @@ class TestDifferential:
             fp = fundamental_partition(spec)
             assert fp.classes == old.classes
             assert fp.state_class == old.state_class
-            assert fp.merged_pairs == old.merged_pairs
+            merges = [f"({i},{j}) {grade}" for i, j, grade in old.merged_pairs]
+            assert f"\nmerges: {'; '.join(merges) or '(none)'}\n" in partition_report(fp)
             assert fp.fms_edges == old.fms_edges
             assert list(fp.certificates.items()) == list(old.certificates.items())
             compared += 1
-        assert compared >= 159, compared   # the 9 fixed systems, 150 random ones
+        assert compared >= 161, compared   # the 11 fixed systems, 150 random ones
 
 
 class TestFundamentalPartition:
@@ -604,13 +604,13 @@ class TestFundamentalPartition:
         fp = fundamental_partition(STEP, small_params())
         assert [info.describe() for info in fp.classes] == \
             ["{0}", "(0,1/9]", "(1/9,1/3]", "(1/3,1]"]
-        assert fp.merged_pairs == []
+        assert "\nmerges: (none)\n" in partition_report(fp)
 
     def test_positive_step_single_class(self):
         fp = fundamental_partition(POSITIVE, small_params())
         assert fp.class_count() == 1
         assert fp.certificates[(0, 1)] == BalancedProduct()
-        assert fp.merged_pairs == [(0, 1, "exact")]
+        assert "\nmerges: (0,1) exact\n" in partition_report(fp)
 
     def test_split_two_classes_exact(self):
         fp = fundamental_partition(SPLIT, small_params())
@@ -620,10 +620,9 @@ class TestFundamentalPartition:
     def test_certificate_coherence(self):
         for spec in (STEP, STEP27, POSITIVE):
             fp = fundamental_partition(spec, small_params())
-            merged = {(i, j) for i, j, _g in fp.merged_pairs}
-            for pair, cert in fp.certificates.items():
+            for (i, j), cert in fp.certificates.items():
                 if isinstance(cert, SupportSeparation):
-                    assert pair not in merged
+                    assert fp.state_class[i] != fp.state_class[j]
             assert verify_separations(fp, spec) == []
 
     def test_forward_invariance_of_classes(self):
@@ -653,6 +652,24 @@ class TestFundamentalPartition:
         monkeypatch.setattr(partition, "ProductGraph", Forged)
         with pytest.raises(InconsistentMerge):
             fundamental_partition(spec)
+
+    @pytest.mark.parametrize("pair, message", [
+        ((1, 2), "class 1 mixes states with different label supports"),
+        ((2, 3), r"label 0 from class 2 lands in several classes \[1, 2\]")])
+    def test_state_unlike_its_leader_raises(self, monkeypatch, pair, message):
+        """A pair forged balanced whose states differ in the support of label
+        0 (state 1 lacks it) or in the class it leads to (1 and 2) cannot
+        form one state of the reduced system."""
+        class Forged(ProductGraph):
+            def __init__(self, chain):
+                super().__init__(chain)
+                i, j = pair
+                for v in (i * self.n + j, j * self.n + i):
+                    self.sep_dist[v] = self.unbal_dist[v] = -1
+
+        monkeypatch.setattr(partition, "ProductGraph", Forged)
+        with pytest.raises(InconsistentMerge, match=message):
+            fundamental_partition(STEP)
 
     def test_certificates_built_on_first_read(self, monkeypatch, capsys):
         calls, built = [], []
