@@ -3,14 +3,16 @@
 
 Runs `rdsys <subcommand>` in-process on each of the five bundled systems
 with fixed seeds and arguments, and writes, per run, the stdout, the exit
-code and every file the run writes with `-o`. Two generated systems join
-them, seeded triadic chains of 82 states, so the comparison covers the
-merge on a large chain too. With weights 0..3 the chain has dozens of
-classes and thousands of separated pairs; it is written to
-OUTDIR/triadic4_0to3/system.txt and run through `partition`, `graph` and
-`simulate`. With weights 1..4 it is one class of 3,321 merged pairs; it is
-written to OUTDIR/triadic4_1to4/system.txt and run through `partition` and
-`graph`:
+code and every file the run writes with `-o`. Three generated systems
+join them, seeded triadic chains, so the comparison covers the merge and
+the exact solves on large chains too. At 82 states with weights 0..3 the
+chain has dozens of classes and thousands of separated pairs; it is
+written to OUTDIR/triadic4_0to3/system.txt and run through `partition`,
+`graph` and `simulate`. At 82 states with weights 1..4 it is one class of
+3,321 merged pairs; it is written to OUTDIR/triadic4_1to4/system.txt and
+run through `partition` and `graph`. At 244 states with weights 1..4 it is
+one terminal class, whose exact weights and moments `graph` solves; it is
+written to OUTDIR/triadic5_1to4/system.txt and run through `graph`:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -57,8 +59,8 @@ SAMPLED_SYSTEM = "step_ninth"
 TAGGED_SYSTEM = "rational_split"
 
 
-# generated system -> the lowest of its four seeded weights
-GENERATED = {"triadic4_0to3": 0, "triadic4_1to4": 1}
+# generated system -> (m for 3^m + 1 states, the lowest of its four seeded weights)
+GENERATED = {"triadic4_0to3": (4, 0), "triadic4_1to4": (4, 1), "triadic5_1to4": (5, 1)}
 
 
 def triadic(m: int, rng: random.Random, low: int) -> SystemSpec:
@@ -79,8 +81,9 @@ def triadic(m: int, rng: random.Random, low: int) -> SystemSpec:
         for e in range(3)))
 
 
-def generated_runs(path: str, low: int):
-    yield "partition", ["partition", path, "--seed", SEED, "--json"]
+def generated_runs(path: str, m: int, low: int):
+    if m == 4:
+        yield "partition", ["partition", path, "--seed", SEED, "--json"]
     yield "graph", ["graph", path, "--seed", SEED, "--json"]
     if low == 0:
         yield "simulate", ["simulate", path, "--x0", "1/3", "--steps", "2000",
@@ -138,11 +141,11 @@ def main() -> int:
     args = ap.parse_args()
     root = Path(args.outdir)
     plan = [(name, runs(name, str(systems.bundled_path(name)))) for name in SYSTEMS]
-    for name, low in GENERATED.items():
+    for name, (m, low) in GENERATED.items():
         generated = root / name / "system.txt"
         generated.parent.mkdir(parents=True, exist_ok=True)
-        save_system(triadic(4, random.Random(int(SEED)), low), generated)
-        plan.append((name, generated_runs(str(generated), low)))
+        save_system(triadic(m, random.Random(int(SEED)), low), generated)
+        plan.append((name, generated_runs(str(generated), m, low)))
     for name, named_runs in plan:
         for run_name, argv in named_runs:
             where = root / name / run_name

@@ -386,7 +386,7 @@ def contraction_estimate(spec: SystemSpec, part) -> Fraction:
     slopes = [abs(e.map.slope) for e in spec.edges]
     worst = Fraction(0)
     for cell in cells:
-        row = index.cuts.row_of_interval(cell.interval, cell.tag == "irrational")
+        row = index.cuts.row_of_interval(cell.interval, cell.representative().irrational_tag)
         if row is None:
             raise NonConstantOnCell(f"probabilities are not constant on cell {cell}")
         worst = max(worst, sum((p * s for p, s in zip(index.rows[row], slopes)),

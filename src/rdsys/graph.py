@@ -11,10 +11,13 @@ breadth-first search, run backwards on the reverse digraph by the product
 graph of `partition`.
 
 The chain's digraph records which cells can follow which under
-positive-probability edges. Stationary weights and first moments are
-solved exactly over the rationals by sparse elimination on the arcs of
-each terminal strongly connected component; transient vertices get weight
-zero.
+positive-probability edges. Stationary weights and first moments are one
+routine's work, `_solve_closed`: it builds the linear equations of one
+closed set of states from the chain's arcs, solves them exactly over the
+rationals by sparse elimination, and checks every equation again from the
+arcs. The weights are solved on each terminal strongly connected
+component (transient vertices get weight zero), the moments on the one
+terminal component of a unique stationary law.
 """
 
 from __future__ import annotations
@@ -252,6 +255,49 @@ def solve_exact(rows: list, rhs: list) -> list:
     return x
 
 
+def _arcs(chain, states: list):
+    """(s, label, p, t) for every positive arc s -> t of the chain out of `states`."""
+    inside = set(states)
+    for (s, label), p in chain.prob.items():
+        if s in inside:
+            yield s, label, p, chain.target[(s, label)]
+
+
+def _solve_closed(chain, states: list, coef=None) -> dict:
+    """Solve x_t = sum over the arcs s -> t out of `states` of a * x_s + c
+    exactly, with (a, c) = coef(s, label, p); without `coef`, a = p and c = 0.
+
+    An arc that leaves `states` raises `SingularSystem`. Without `coef`
+    the equations are the balance of a closed class: they sum to zero, so
+    one is redundant, and the first is replaced by x = 1 on `states[0]`.
+    The solution is then checked against every equation, the replaced one
+    included, each assembled again from the chain's arcs: a nonzero
+    residual raises.
+    """
+    pos = {v: i for i, v in enumerate(states)}
+    rows = [{i: Fraction(1)} for i in range(len(states))]
+    rhs = [Fraction(0)] * len(states)
+    for s, label, p, t in _arcs(chain, states):
+        if t not in pos:
+            raise SingularSystem("recurrent class leaks into zero-weight vertex")
+        a, c = (p, 0) if coef is None else coef(s, label, p)
+        row = rows[pos[t]]
+        row[pos[s]] = row.get(pos[s], 0) - a
+        rhs[pos[t]] += c
+    if coef is None:
+        rows[0], rhs[0] = {0: Fraction(1)}, Fraction(1)
+    x = dict(zip(states, solve_exact(rows, rhs)))
+
+    flow = dict.fromkeys(states, Fraction(0))
+    for s, label, p, t in _arcs(chain, states):
+        a, c = (p, 0) if coef is None else coef(s, label, p)
+        flow[t] += a * x[s] + c
+    defect = max(abs(flow[v] - x[v]) for v in states)
+    if defect:
+        raise RdsError(f"exact solve left a residual of {format_rational(defect)}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # stationary distribution
 
@@ -259,7 +305,7 @@ def solve_exact(rows: list, rhs: list) -> list:
 class StationaryResult:
     pi: Optional[dict]          # vertex -> Fraction (None when non-unique)
     method: str                 # always "exact_solve"
-    residual: Fraction          # max |pi A - pi| entry, 0 once checked
+    residual: Fraction          # max |pi A - pi| entry: always 0 (else the solve raises)
     terminal: list              # terminal components
     unique: bool
     component_pis: list         # one pi dict per terminal component
@@ -277,52 +323,25 @@ def aggregated_matrix(chain) -> list:
     return mat
 
 
-def _solve_component(chain, comp) -> dict:
-    """Stationary weights of one terminal component, built from its arcs.
-
-    The balance equation of `comp[0]` is implied by the others, so it is
-    replaced by fixing that state's weight to 1; the solution is then
-    divided by its sum.
-    """
-    pos = {v: i for i, v in enumerate(comp)}
-    rows = [{i: Fraction(-1)} for i in range(len(comp))]
-    for (s, label), p in chain.prob.items():
-        if s in pos:
-            row = rows[pos[chain.target[(s, label)]]]
-            row[pos[s]] = row.get(pos[s], 0) + p
-    rows[0] = {0: Fraction(1)}
-    rhs = [Fraction(1)] + [Fraction(0)] * (len(comp) - 1)
-    sol = solve_exact(rows, rhs)
-    total = sum(sol)
-    return {v: sol[pos[v]] / total for v in comp}
-
-
-def _residual(chain, pi: dict) -> Fraction:
-    """max over vertices of |(pi A)_v - pi_v|, summed over the arcs."""
-    flow = dict.fromkeys(pi, Fraction(0))
-    for (s, label), p in chain.prob.items():
-        flow[chain.target[(s, label)]] += pi[s] * p
-    return max((abs(flow[v] - pi[v]) for v in pi), default=Fraction(0))
-
-
 def stationary_distribution(chain, *, exact_max_states: int = 128) -> StationaryResult:
     """Exact stationary weights of the aggregated chain, at every size.
 
     Solved by sparse rational elimination on each terminal strongly
-    connected component (transient vertices get weight zero) and checked
-    exactly: a nonzero residual raises. When several terminal components
-    exist the result is flagged non-unique and carries one exact solution
-    each. There is no float fallback; `exact_max_states` is accepted and
-    ignored, and retires with the benchmark refresh that stops passing it.
+    connected component (transient vertices get weight zero), then
+    normalised; every balance equation is checked exactly and a nonzero
+    residual raises. When several terminal components exist the result
+    is flagged non-unique and carries one exact solution each. There is
+    no float fallback; `exact_max_states` is accepted and ignored, and
+    retires with the benchmark refresh that stops passing it.
     """
     terms = terminal_components(digraph_of_chain(chain))
     component_pis = []
     for comp in terms:
-        sol = dict.fromkeys(range(chain.n_states), Fraction(0))
-        sol.update(_solve_component(chain, comp))
-        if _residual(chain, sol) != 0:
-            raise RdsError("exact stationary solve left a nonzero residual")
-        component_pis.append(sol)
+        weights = _solve_closed(chain, comp)
+        total = sum(weights.values())
+        pi = dict.fromkeys(range(chain.n_states), Fraction(0))
+        pi.update((v, w / total) for v, w in weights.items())
+        component_pis.append(pi)
 
     unique = len(terms) == 1
     return StationaryResult(pi=component_pis[0] if unique else None,
@@ -351,60 +370,36 @@ def stationary_from_matrix(rows: list) -> StationaryResult:
 class MomentResult:
     per_class: dict      # vertex -> Fraction conditional mean (recurrent only)
     global_mean: Fraction
-    identity_residual: Fraction  # exact defect of the invariance identity
+    identity_residual: Fraction  # largest invariance defect: always 0 (else the solve raises)
 
 
 def exact_first_moment(spec, chain, stationary: StationaryResult) -> MomentResult:
     """Conditional first moments of the stationary measure per vertex.
 
-    Solves the exact linear system expressing invariance of the measure
-    x * 1_{cell j} under one step of the dynamics, then checks the global
-    identity mean = sum over arcs of pi * p * (slope * mean + intercept).
-    The unknowns are the masses pi_j * mean_j, so the coefficients are the
-    small products p * slope and only the right-hand side carries pi.
+    Solves, on the terminal component of the unique stationary law, the
+    exact linear system expressing invariance of the measure x * 1_{cell j}
+    under one step of the dynamics: mass_t = sum over arcs s -> t of
+    p * (slope * mass_s + pi_s * intercept). The unknowns are the masses
+    pi_j * mean_j, so the coefficients are the small products p * slope and
+    only the constant terms carry pi. Every equation is checked exactly
+    after the solve (a nonzero defect raises), and each mean must lie in
+    its cell's hull.
     """
     if stationary.pi is None:
         raise SingularSystem("stationary weights are not unique")
     pi = stationary.pi
-    support = [v for v in range(chain.n_states) if pi[v] > 0]
-    pos = {v: i for i, v in enumerate(support)}
     maps = {e.edge_id: e.map for e in spec.edges}
+    mass = _solve_closed(chain, stationary.terminal[0], lambda s, label, p: (
+        p * maps[label].slope, pi[s] * p * maps[label].intercept))
+    per_class = {v: m / pi[v] for v, m in mass.items()}
 
-    rows = [{i: Fraction(1)} for i in range(len(support))]
-    rhs = [Fraction(0)] * len(support)
-    for (s, label), p in chain.prob.items():
-        if s not in pos:
-            continue
-        t = chain.target[(s, label)]
-        if t not in pos:
-            raise SingularSystem("recurrent class leaks into zero-weight vertex")
-        m = maps[label]
-        row = rows[pos[t]]
-        row[pos[s]] = row.get(pos[s], 0) - p * m.slope
-        rhs[pos[t]] += pi[s] * p * m.intercept
-
-    sol = solve_exact(rows, rhs)
-    per_class = {v: sol[pos[v]] / pi[v] for v in support}
-    global_mean = sum((pi[v] * per_class[v] for v in support), Fraction(0))
-
-    pushed = Fraction(0)
-    for (s, label), p in chain.prob.items():
-        if s not in pos:
-            continue
-        m = maps[label]
-        pushed += pi[s] * p * (m.slope * per_class[s] + m.intercept)
-    residual = abs(global_mean - pushed)
-    if residual != 0:
-        raise SingularSystem(
-            f"moment invariance identity fails: defect {format_rational(residual)}")
-
-    for v in support:
+    for v, mean in per_class.items():
         iv = chain.cells[v].interval
-        if not (iv.lo <= per_class[v] <= iv.hi):
+        if not (iv.lo <= mean <= iv.hi):
             raise SingularSystem(
-                f"moment {format_rational(per_class[v])} escapes cell hull {iv}")
-    return MomentResult(per_class=per_class, global_mean=global_mean,
-                        identity_residual=residual)
+                f"moment {format_rational(mean)} escapes cell hull {iv}")
+    return MomentResult(per_class=per_class, global_mean=sum(mass.values(), Fraction(0)),
+                        identity_residual=Fraction(0))
 
 
 def eigenvalue_moduli(chain) -> list:

@@ -226,9 +226,6 @@ class LabeledChain:
     reps: dict                        # state -> Point
     cells: list                       # state -> Cell
 
-    def support(self, state: int) -> tuple:
-        return tuple(l for l in self.labels if (state, l) in self.prob)
-
     def word_mass(self, state: int, word: Word) -> Fraction:
         mass = Fraction(1)
         s = state

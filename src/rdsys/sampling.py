@@ -211,7 +211,6 @@ class EvalTables:
     """
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
         self.edge_ids = list(spec.edge_ids)
         n_edges = len(self.edge_ids)
 

@@ -323,9 +323,9 @@ def union_find_partition(spec: SystemSpec, params=None) -> SimpleNamespace:
     for cid, states in enumerate(ordered):
         for s in states:
             state_class[s] = cid
-        support = chain.support(states[0])
+        support = tuple(l for l in chain.labels if (states[0], l) in chain.prob)
         for s in states[1:]:
-            if chain.support(s) != support:
+            if tuple(l for l in chain.labels if (s, l) in chain.prob) != support:
                 raise InconsistentMerge(
                     f"class {cid} mixes states with different label supports")
         classes.append(ClassInfo(

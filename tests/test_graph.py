@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 import conftest as oracle
-from rdsys import systems
-from rdsys.graph import (Digraph, MomentResult, aggregated_matrix,
+from rdsys import graph, systems
+from rdsys.graph import (Digraph, MomentResult, StationaryResult, aggregated_matrix,
                          digraph_of_chain, eigenvalue_moduli,
                          exact_first_moment, is_aperiodic, is_irreducible,
                          is_recurrent, solve_exact, stationary_distribution,
@@ -244,6 +245,39 @@ class TestMoments:
             assert iv.lo <= m <= iv.hi
 
 
+class TestClosedSolveChecks:
+    def _step(self):
+        spec = systems.step_system()
+        return spec, extract_symbolic_chain(spec, refine_markov_partition(spec))
+
+    def test_moment_class_with_a_leaving_arc_raises(self):
+        # states 2 and 3 carry all the forged weight, but 2 -> 1 leaves them
+        spec, chain = self._step()
+        pi = {0: F(0), 1: F(0), 2: F(1, 2), 3: F(1, 2)}
+        forged = StationaryResult(pi=pi, method="exact_solve", residual=F(0),
+                                  terminal=[[2, 3]], unique=True, component_pis=[pi])
+        assert forged.terminal[0] == [v for v in range(chain.n_states) if pi[v] > 0]
+        with pytest.raises(SingularSystem, match="leaks"):
+            exact_first_moment(spec, chain, forged)
+
+    def test_wrong_solution_raises(self, monkeypatch):
+        spec, chain = self._step()
+        res = stationary_distribution(chain)
+        solve = graph.solve_exact
+
+        def off_by_one(rows, rhs):
+            x = solve(rows, rhs)
+            x[-1] += 1
+            return x
+
+        monkeypatch.setattr(graph, "solve_exact", off_by_one)
+        # the residual check itself must catch it, not the moments' hull check
+        with pytest.raises(RdsError, match="residual|defect"):
+            stationary_distribution(chain)
+        with pytest.raises(RdsError, match="residual|defect"):
+            exact_first_moment(spec, chain, res)
+
+
 class TestEigenDiagnostic:
     def test_subdominant_moduli_equal_b(self):
         for b in (F(1, 4), F(1, 2)):
@@ -364,11 +398,12 @@ class TestSparseSolverAgainstDenseOracle:
         assert min(outcomes.values()) >= 50, outcomes
 
     def test_stationary_and_moments_on_random_systems(self):
-        from conftest import random_system
         rng = random.Random(0x5EED)
         seen = {"unique": 0, "several": 0, "moments": 0, "singular": 0}
-        for _ in range(200):
-            spec = random_system(rng)
+        specs = [systems.bundled_spec(name) for name in systems.BUILDERS] + [
+            oracle.triadic_system(m, random.Random(3), zeros)
+            for m in (3, 4) for zeros in (False, True)]
+        for spec in itertools.chain(specs, (oracle.random_system(rng) for _ in range(200))):
             try:
                 chain = extract_symbolic_chain(spec, stable_partition(spec))
             except RefinementBudgetExceeded:
