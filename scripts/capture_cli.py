@@ -4,15 +4,17 @@
 Runs `rdsys <subcommand>` in-process on each of the five bundled systems
 with fixed seeds and arguments, and writes, per run, the stdout, the exit
 code and every file the run writes with `-o`. Three generated systems
-join them, seeded triadic chains, so the comparison covers the merge and
-the exact solves on large chains too. At 82 states with weights 0..3 the
-chain has dozens of classes and thousands of separated pairs; it is
-written to OUTDIR/triadic4_0to3/system.txt and run through `partition`,
-`graph` and `simulate`. At 82 states with weights 1..4 it is one class of
-3,321 merged pairs; it is written to OUTDIR/triadic4_1to4/system.txt and
-run through `partition` and `graph`. At 244 states with weights 1..4 it is
-one terminal class, whose exact weights and moments `graph` solves; it is
-written to OUTDIR/triadic5_1to4/system.txt and run through `graph`:
+join them, seeded triadic chains from `systems.triadic_system`, so the
+comparison covers the merge, the pair certificates and the exact solves on
+large chains too. At 82 states with weights 0..3 the chain has dozens of
+classes and thousands of separated pairs; it is written to
+OUTDIR/triadic4_0to3/system.txt and run through `partition`, `graph`,
+`simulate` and `xi` on a separated and a balanced pair. At 82 states with
+weights 1..4 it is one class of 3,321 merged pairs; it is written to
+OUTDIR/triadic4_1to4/system.txt and run through `partition` and `graph`.
+At 244 states with weights 1..4 it is one terminal class, whose exact
+weights and moments `graph` solves; it is written to
+OUTDIR/triadic5_1to4/system.txt and run through `graph`:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -32,12 +34,10 @@ import contextlib
 import io
 import random
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 from rdsys import systems
 from rdsys.cli import run
-from rdsys.model import AffineMap, Edge, Interval, PiecewiseConstant, SystemSpec
 from rdsys.sysfile import save_system
 
 SEED = "7"
@@ -63,22 +63,10 @@ TAGGED_SYSTEM = "rational_split"
 GENERATED = {"triadic4_0to3": (4, 0), "triadic4_1to4": (4, 1), "triadic5_1to4": (5, 1)}
 
 
-def triadic(m: int, rng: random.Random, low: int) -> SystemSpec:
-    """Maps x/3 + e/3 (e = 0, 1, 2) on [0,1]; probabilities constant on the
-    cells cut at (j/3^m, +1), from seeded weights low..low+3 per edge."""
-    n = 3 ** m
-    cells = [Interval(F(0), F(1, n))] + [
-        Interval(F(j, n), F(j + 1, n), False, True) for j in range(1, n)]
-    probs = []
-    for _cell in cells:
-        w = [0, 0, 0]
-        while sum(w) == 0:
-            w = [rng.randint(low, low + 3) for _ in range(3)]
-        probs.append([F(v, sum(w)) for v in w])
-    return SystemSpec(domain=Interval(F(0), F(1)), edges=tuple(
-        Edge(str(e), AffineMap(F(1, 3), F(e, 3)),
-             PiecewiseConstant(tuple((c, p[e]) for c, p in zip(cells, probs))))
-        for e in range(3)))
+def xi(path: str, x: str, y: str, n_exact: int):
+    """argv of an `xi` run with the capture's seed and Monte Carlo budgets."""
+    return ["xi", path, "--x", x, "--y", y, "--seed", SEED, "--samples", "300",
+            "--n-mc", "300", "--n-exact", str(n_exact), "--json"]
 
 
 def generated_runs(path: str, m: int, low: int):
@@ -88,6 +76,10 @@ def generated_runs(path: str, m: int, low: int):
     if low == 0:
         yield "simulate", ["simulate", path, "--x0", "1/3", "--steps", "2000",
                            "--seed", SEED, "--f", "poly:0,1", "--json"]
+    if m == 4 and low == 0:
+        # a separated pair, and a balanced one: (4/81,5/81] and (5/81,2/27] share class 5
+        yield "xi_separated", xi(path, "1/3", "2/3", 4)
+        yield "xi_balanced", xi(path, "1/18", "11/162", 4)
 
 
 def runs(name: str, path: str):
@@ -97,20 +89,13 @@ def runs(name: str, path: str):
     yield "cylinders_zero", ["cylinders", path, "--x", "1/3", "--depth", "6",
                              "--include-zero", "--json"]
     for k, (x, y) in enumerate(XI_PAIRS[name]):
-        yield f"xi{k}", ["xi", path, "--x", x, "--y", y, "--seed", SEED,
-                         "--samples", "300", "--n-mc", "300", "--n-exact", "6",
-                         "--json"]
+        yield f"xi{k}", xi(path, x, y, 6)
     if name == DEEP_SYSTEM:
         # the exact walks at the depth the benchmark's paths workload uses
         yield "cylinders14", ["cylinders", path, "--x", "1/3", "--depth", "14", "--json"]
-        x, y = XI_PAIRS[name][1]
-        yield "xi_exact14", ["xi", path, "--x", x, "--y", y, "--seed", SEED,
-                             "--samples", "300", "--n-mc", "300", "--n-exact", "14",
-                             "--json"]
+        yield "xi_exact14", xi(path, *XI_PAIRS[name][1], 14)
     if name == SAMPLED_SYSTEM:
-        yield "xi_sampled_witness", ["xi", path, "--x", "1/4", "--y", "3/4", "--seed", SEED,
-                                     "--samples", "300", "--n-mc", "300", "--n-exact", "1",
-                                     "--json"]
+        yield "xi_sampled_witness", xi(path, "1/4", "3/4", 1)
         yield "rate_default", ["rate", path, "--seed", SEED, "--json"]
         # more than one 65,536-draw chunk, so trace.csv crosses a chunk boundary
         yield "simulate_chunks", ["simulate", path, "--x0", "1/3", "--steps", "70000",
@@ -144,7 +129,8 @@ def main() -> int:
     for name, (m, low) in GENERATED.items():
         generated = root / name / "system.txt"
         generated.parent.mkdir(parents=True, exist_ok=True)
-        save_system(triadic(m, random.Random(int(SEED)), low), generated)
+        save_system(systems.triadic_system(m, random.Random(int(SEED)), zeros=low == 0),
+                    generated)
         plan.append((name, generated_runs(str(generated), m, low)))
     for name, named_runs in plan:
         for run_name, argv in named_runs:

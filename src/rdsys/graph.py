@@ -283,7 +283,8 @@ def _solve_closed(chain, states: list, coef=None) -> dict:
         a, c = (p, 0) if coef is None else coef(s, label, p)
         row = rows[pos[t]]
         row[pos[s]] = row.get(pos[s], 0) - a
-        rhs[pos[t]] += c
+        if c:
+            rhs[pos[t]] += c
     if coef is None:
         rows[0], rhs[0] = {0: Fraction(1)}, Fraction(1)
     x = dict(zip(states, solve_exact(rows, rhs)))
@@ -291,7 +292,7 @@ def _solve_closed(chain, states: list, coef=None) -> dict:
     flow = dict.fromkeys(states, Fraction(0))
     for s, label, p, t in _arcs(chain, states):
         a, c = (p, 0) if coef is None else coef(s, label, p)
-        flow[t] += a * x[s] + c
+        flow[t] += (a * x[s] + c) if c else a * x[s]
     defect = max(abs(flow[v] - x[v]) for v in states)
     if defect:
         raise RdsError(f"exact solve left a residual of {format_rational(defect)}")

@@ -476,8 +476,6 @@ class ClassInfo:
     class_id: int
     states: tuple
     cells: tuple
-    rep: Point
-    support: tuple
 
     def describe(self) -> str:
         return " + ".join(str(c) for c in self.cells)
@@ -562,11 +560,10 @@ def fundamental_partition(spec: SystemSpec,
     cols = lands.T.tolist()
     classes, fms_edges = [], []
     for cid, states in enumerate(groups.values()):
-        out = [(label, t) for label, t in zip(chain.labels, cols[states[0]]) if t >= 0]
         classes.append(ClassInfo(
-            class_id=cid, states=tuple(states), cells=tuple(chain.cells[s] for s in states),
-            rep=chain.reps[states[0]], support=tuple(label for label, _t in out)))
-        fms_edges += [FmsEdge(cid, label, t) for label, t in out]
+            class_id=cid, states=tuple(states), cells=tuple(chain.cells[s] for s in states)))
+        fms_edges += [FmsEdge(cid, label, t)
+                      for label, t in zip(chain.labels, cols[states[0]]) if t >= 0]
 
     return FundamentalPartition(
         partition=part, chain=chain, product=product, classes=classes,
@@ -577,15 +574,15 @@ def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
     """The certificate of the cells holding x and y, or None when the
     system has no stable partition. The path measure from a point equals
     the chain's measure from its cell, so the certificate decides the pair
-    of points exactly."""
+    of points exactly. Builds the chain's product graph and merges nothing."""
     try:
-        fp = fundamental_partition(spec)
+        part = stable_partition(spec)
+        product = ProductGraph(extract_symbolic_chain(spec, part))
     except (RefinementBudgetExceeded, NotPiecewiseConstant, NonConstantOnCell,
             ImageSplitsCells):
         return None
-    i = fp.partition.cell_of_point(as_point(x))
-    j = fp.partition.cell_of_point(as_point(y))
-    return fp.product.certificate(i, j)
+    return product.certificate(part.cell_of_point(as_point(x)),
+                               part.cell_of_point(as_point(y)))
 
 
 def classify_point(fp: FundamentalPartition, x: PointLike) -> int:

@@ -15,10 +15,15 @@ All of them live on [0,1] and use two edges labeled "0" and "1":
   follow two different product measures.
 * constant_system(b): step_system's maps with position-independent
   probabilities (b, 1-b).
+
+triadic_system(m, rng, zeros) is the one seeded family for scale: its chain
+has 3^m + 1 states (28, 82, 244, 730 for m = 3..6), one class with weights
+1..4 and many with weights 0..3.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -83,6 +88,25 @@ def constant_system(b: Fraction = Fraction(1, 2)) -> SystemSpec:
         Edge("0", AffineMap(_THIRD, Fraction(0)), p0),
         Edge("1", AffineMap(_THIRD, _THIRD), p1),
     ))
+
+
+def triadic_system(m: int, rng: random.Random, zeros: bool = False) -> SystemSpec:
+    """Maps x/3 + e/3 (e = 0, 1, 2) on [0,1]; probabilities constant on the
+    cells cut at (j/3^m, +1), from weights 1..4 per edge drawn from `rng`
+    cell by cell, or 0..3 when `zeros` (an all-zero draw is redrawn)."""
+    n = 3 ** m
+    cells = [Interval(Fraction(0), Fraction(1, n))] + [
+        Interval(Fraction(j, n), Fraction(j + 1, n), False, True) for j in range(1, n)]
+    probs = []
+    for _cell in cells:
+        w = [0, 0, 0]
+        while sum(w) == 0:
+            w = [rng.randint(0, 3) if zeros else rng.randint(1, 4) for _ in range(3)]
+        probs.append([Fraction(v, sum(w)) for v in w])
+    return SystemSpec(domain=_UNIT, edges=tuple(
+        Edge(str(e), AffineMap(_THIRD, Fraction(e, 3)),
+             PiecewiseConstant(tuple((c, p[e]) for c, p in zip(cells, probs))))
+        for e in range(3)))
 
 
 BUILDERS = {

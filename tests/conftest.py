@@ -15,6 +15,7 @@ from rdsys.model import (AffineMap, Edge, InconsistentMerge, Interval,
 from rdsys.partition import (BalancedProduct, ClassInfo, FmsEdge,
                              PartitionParams, ProductGraph, SupportSeparation,
                              extract_symbolic_chain, stable_partition)
+from rdsys.systems import triadic_system  # re-exported: the tests import it from here
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -60,26 +61,6 @@ def random_system(rng: random.Random) -> SystemSpec:
         edges.append(Edge(str(e), AffineMap(slope, intercept),
                           PiecewiseConstant(pieces)))
     return SystemSpec(domain=UNIT, edges=tuple(edges))
-
-
-def triadic_system(m: int, rng: random.Random, zeros: bool = False) -> SystemSpec:
-    """Maps x/3 + e/3 (e = 0, 1, 2) on [0,1]; probabilities constant on the
-    cells cut at (j/3^m, +1), from seeded weights 1..4 per edge, or 0..3
-    when `zeros`. The stable partition has 3^m + 1 cells."""
-    n = 3 ** m
-    cells = [Interval(Fraction(0), Fraction(1, n))] + [
-        Interval(Fraction(j, n), Fraction(j + 1, n), False, True) for j in range(1, n)]
-    probs = []
-    for _cell in cells:
-        while True:
-            w = [rng.randint(0, 3) if zeros else rng.randint(1, 4) for _ in range(3)]
-            if sum(w) > 0:
-                break
-        probs.append([Fraction(v, sum(w)) for v in w])
-    return SystemSpec(domain=UNIT, edges=tuple(
-        Edge(str(e), AffineMap(Fraction(1, 3), Fraction(e, 3)),
-             PiecewiseConstant(tuple((c, p[e]) for c, p in zip(cells, probs))))
-        for e in range(3)))
 
 
 class PartitionLookup:
@@ -319,7 +300,7 @@ def union_find_partition(spec: SystemSpec, params=None) -> SimpleNamespace:
     ordered = [tuple(groups[root]) for root in sorted(groups)]
 
     state_class = {}
-    classes = []
+    classes, supports = [], []
     for cid, states in enumerate(ordered):
         for s in states:
             state_class[s] = cid
@@ -330,12 +311,12 @@ def union_find_partition(spec: SystemSpec, params=None) -> SimpleNamespace:
                     f"class {cid} mixes states with different label supports")
         classes.append(ClassInfo(
             class_id=cid, states=states,
-            cells=tuple(chain.cells[s] for s in states),
-            rep=chain.reps[states[0]], support=support))
+            cells=tuple(chain.cells[s] for s in states)))
+        supports.append(support)
 
     fms_edges = []
-    for info in classes:
-        for label in info.support:
+    for info, support in zip(classes, supports):
+        for label in support:
             targets = {state_class[chain.target[(s, label)]] for s in info.states}
             if len(targets) != 1:
                 raise InconsistentMerge(

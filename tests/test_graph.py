@@ -14,8 +14,7 @@ from rdsys.graph import (Digraph, MomentResult, StationaryResult, aggregated_mat
                          stationary_from_matrix, strongly_connected_components,
                          terminal_components)
 from rdsys.model import (AffineMap, Edge, Interval, PiecewiseConstant,
-                         RdsError, RefinementBudgetExceeded, SingularSystem, SystemSpec,
-                         cells_from_cuts)
+                         RdsError, RefinementBudgetExceeded, SingularSystem, SystemSpec)
 from rdsys.partition import (extract_symbolic_chain, refine_markov_partition,
                              stable_partition)
 
@@ -428,21 +427,8 @@ class TestSparseSolverAgainstDenseOracle:
         assert all(seen.values()), seen
 
 
-def triadic_system(m, rng):
-    """Maps x/3 + e/3 (e = 0, 1, 2), probabilities constant on the cells
-    cut at j/3^m, with per-cell weights 1..4 normalised."""
-    unit = Interval(F(0), F(1))
-    cells = cells_from_cuts(unit, [(F(j, 3 ** m), 1) for j in range(1, 3 ** m)])
-    weights = [[rng.randint(1, 4) for _ in range(3)] for _ in cells]
-    return SystemSpec(domain=unit, edges=tuple(
-        Edge(str(e), AffineMap(F(1, 3), F(e, 3)),
-             PiecewiseConstant(tuple((cell, F(w[e], sum(w)))
-                                     for cell, w in zip(cells, weights))))
-        for e in range(3)))
-
-
 def test_triadic_244_states_exact_weights_and_moments():
-    spec = triadic_system(5, random.Random(1))
+    spec = oracle.triadic_system(5, random.Random(1))
     chain = extract_symbolic_chain(spec, stable_partition(spec))
     assert chain.n_states == 244
     res = stationary_distribution(chain)

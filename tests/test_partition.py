@@ -353,6 +353,20 @@ class TestProductCertificates:
         assert set(fp.certificates.values()) == {BalancedProduct()}
 
 
+@pytest.mark.parametrize("m, seed, zeros, figures", [
+    (3, 3, False, (28, 1, 0)),
+    (3, 3, True, (28, 20, 364)),
+    (4, 7, True, (82, 61, 3295)),
+    (4, 7, False, (82, 1, 0)),
+    (5, 3, True, (244, 189, 29583)),
+])
+def test_triadic_family_figures(m, seed, zeros, figures):
+    """(chain states, classes, separated pairs), so a changed draw order shows."""
+    fp = fundamental_partition(systems.triadic_system(m, random.Random(seed), zeros))
+    separated = sum(isinstance(c, SupportSeparation) for c in fp.certificates.values())
+    assert (fp.chain.n_states, fp.class_count(), separated) == figures
+
+
 # ---------------------------------------------------------------------------
 # the per-pair engines that `ProductGraph` replaced, kept as a test oracle:
 # a forward breadth-first search for a separating word, the span iteration
