@@ -34,7 +34,7 @@ def banner(text):
     print("-" * len(text))
 
 
-def analyze(name, seed, quick):
+def analyze(name, seed):
     spec = systems.bundled_spec(name)
     banner(f"system: {name}")
     fp = fundamental_partition(spec, PartitionParams(seed=seed))
@@ -68,7 +68,7 @@ def main():
 
     for name in ("step_ninth", "step_twentyseventh", "positive_step",
                  "rational_split", "constant_half"):
-        spec, fp = analyze(name, args.seed, args.quick)
+        spec, fp = analyze(name, args.seed)
 
     banner("ergodic average, step_ninth, f(x)=x")
     spec = systems.bundled_spec("step_ninth")

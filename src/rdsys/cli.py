@@ -88,6 +88,7 @@ def _at_least(least: int, what: str):
 
 _depth = _at_least(0, "depth")
 _seed = _at_least(0, "seed")
+_refine_cap = _at_least(0, "refine-cap")
 
 
 def _add_common(sp, *, seeded: bool) -> None:
@@ -128,13 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("partition", help="stable partition and merged classes")
     _add_common(sp, seeded=False)
     sp.add_argument("--seed", type=_seed, help=UNUSED_SEED)
-    sp.add_argument("--refine-cap", type=int, default=256)
+    sp.add_argument("--refine-cap", type=_refine_cap, default=partmod.REFINE_CAP)
     sp.add_argument("--lift-depth", type=_depth, default=6)
 
     sp = sub.add_parser("graph", help="digraph flags, stationary weights, moments")
     _add_common(sp, seeded=False)
     sp.add_argument("--seed", type=_seed, help=UNUSED_SEED)
-    sp.add_argument("--refine-cap", type=int, default=256)
+    sp.add_argument("--refine-cap", type=_refine_cap, default=partmod.REFINE_CAP)
 
     sp = sub.add_parser("simulate", help="simulate a trace and report averages")
     _add_common(sp, seeded=True)

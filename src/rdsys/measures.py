@@ -240,6 +240,8 @@ def tail_mass_exact(spec: SystemSpec, x: PointLike, y: PointLike, n: int,
 # xi: graded evidence on mutual absolute continuity
 
 DEFAULT_M_GRID = tuple(Fraction(2) ** k for k in range(1, 11))
+# a tail mass within this of 1 at every M of a depth makes the scan `persistent`
+PERSISTENT_TOL = Fraction(1, 10 ** 6)
 
 
 @dataclass
@@ -252,7 +254,6 @@ class XiParams:
     num_samples: int = 4000
     seed: Optional[int] = None
     drift_z: float = 4.0
-    tol: Fraction = Fraction(1, 10 ** 6)
     budget: int = DEFAULT_WORD_BUDGET
 
 
@@ -455,7 +456,7 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     if witness is None and cert is not None and cert.kind == "support_separation":
         witness = cert.word
 
-    persistent = any(all(table[(n, M)] >= 1 - params.tol for M in grid)
+    persistent = any(all(table[(n, M)] >= 1 - PERSISTENT_TOL for M in grid)
                      for n in range(1, params.n_exact + 1))
     all_tails_zero = all(mass == 0 for mass in table.values())
 

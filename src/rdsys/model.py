@@ -439,6 +439,16 @@ def apply_map(spec: SystemSpec, edge_id: str, x: PointLike) -> Point:
     return spec.edge(edge_id).map.apply_point(p)
 
 
+def _weighted_images(spec: SystemSpec, p: Point):
+    """(edge, p_e(p), w_e(p)) for each edge of positive probability at the
+    domain point p, in edge order, reading each p_e(p) once by `value_at`.
+    The operator, its adjoint and the reduced-system check fold over it."""
+    for e in spec.edges:
+        pe = e.prob.value_at(p)
+        if pe != 0:
+            yield e, pe, e.map.apply_point(p)
+
+
 def markov_operator(spec: SystemSpec, f: Callable[[Point], object], x: PointLike):
     """One-step averaging of f: sum of p_e(x) * f(w_e(x)).
 
@@ -447,13 +457,7 @@ def markov_operator(spec: SystemSpec, f: Callable[[Point], object], x: PointLike
     """
     p = as_point(x)
     spec.require_in_domain(p)
-    total = Fraction(0)
-    for e in spec.edges:
-        pe = e.prob.value_at(p)
-        if pe == 0:
-            continue
-        total = total + pe * f(e.map.apply_point(p))
-    return total
+    return sum((pe * f(q) for _e, pe, q in _weighted_images(spec, p)), Fraction(0))
 
 
 def push_forward(spec: SystemSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -463,11 +467,7 @@ def push_forward(spec: SystemSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
         spec.require_in_domain(p)
         if w == 0:
             continue
-        for e in spec.edges:
-            pe = e.prob.value_at(p)
-            if pe == 0:
-                continue
-            q = e.map.apply_point(p)
+        for _e, pe, q in _weighted_images(spec, p):
             acc[q] = acc.get(q, Fraction(0)) + w * pe
     atoms = tuple(sorted(((q, w) for q, w in acc.items() if w != 0),
                          key=lambda item: (item[0].value, item[0].irrational_tag)))

@@ -84,11 +84,12 @@ from .model import (Cuts, ImageSplitsCells, InconsistentMerge, Interval,
                     OutOfDomain, PiecewiseConstant, Point, PointLike,
                     RationalityPredicate, RefinementBudgetExceeded,
                     SystemSpec, Word, as_point,
-                    cells_from_cuts, format_rational, format_word,
-                    markov_operator, usable_cut)
+                    _weighted_images, cells_from_cuts, format_rational,
+                    format_word, usable_cut)
 
 RATIONAL_TAG = "rational"
 IRRATIONAL_TAG = "irrational"
+REFINE_CAP = 256   # default breakpoint cap of the refinement
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +139,12 @@ class IntervalPartition:
         return sorted({t for (t, _side) in self.provenance})
 
     def cell_of_point(self, p: Point) -> int:
-        k = self.cuts.row_of_interval(Interval(p.value, p.value), p.irrational_tag)
-        if k is None:
+        if not self.cuts.span.contains_value(p.value):
             raise OutOfDomain(f"point {p} not covered by any cell")
-        return k
+        return self.cuts.row_of(p.value.numerator, p.value.denominator, p.irrational_tag)
 
 
-def refine_markov_partition(spec: SystemSpec, cap: int = 256) -> IntervalPartition:
+def refine_markov_partition(spec: SystemSpec, cap: int = REFINE_CAP) -> IntervalPartition:
     """Breakpoint closure of a piecewise-constant system.
 
     Starting from the probability discontinuities, repeatedly pulls every
@@ -206,7 +206,7 @@ def tagged_partition(spec: SystemSpec) -> IntervalPartition:
                              tagged=True)
 
 
-def stable_partition(spec: SystemSpec, cap: int = 256) -> IntervalPartition:
+def stable_partition(spec: SystemSpec, cap: int = REFINE_CAP) -> IntervalPartition:
     if spec.has_rationality_edges:
         return tagged_partition(spec)
     return refine_markov_partition(spec, cap)
@@ -467,7 +467,7 @@ class PartitionParams:
     """`seed` is accepted and not read: every pair is decided exactly,
     with no sampling. It stays because the benchmark workloads pass it."""
 
-    refinement_cap: int = 256
+    refinement_cap: int = REFINE_CAP
     seed: Optional[int] = None
 
 
@@ -512,9 +512,6 @@ class FundamentalPartition:
 
     def class_count(self) -> int:
         return len(self.classes)
-
-    def edges_from(self, class_id: int) -> list:
-        return [fe for fe in self.fms_edges if fe.class_id == class_id]
 
 
 def fundamental_partition(spec: SystemSpec,
@@ -586,9 +583,7 @@ def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
 
 
 def classify_point(fp: FundamentalPartition, x: PointLike) -> int:
-    p = as_point(x)
-    state = fp.partition.cell_of_point(p)
-    return fp.state_class[state]
+    return fp.state_class[fp.partition.cell_of_point(as_point(x))]
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +623,20 @@ def adjoint_discrepancy(spec: SystemSpec, fp: FundamentalPartition,
                         x: PointLike, f) -> Fraction:
     """Exact defect between one-step averaging through the reduced edge
     set and through the original system (zero when the reduction is an
-    equivalent system)."""
+    equivalent system). One pass over the edges sums both averages; it reads
+    p_e(x) by the piece scan of `value_at`, not from the `CellIndex` the
+    chain came from, so it checks the chain's label supports independently."""
     p = as_point(x)
     spec.require_in_domain(p)
     cid = classify_point(fp, p)
-    reduced = Fraction(0)
-    for fe in fp.edges_from(cid):
-        e = spec.edge(fe.label)
-        pe = e.prob.value_at(p)
-        if pe == 0:
-            continue
-        reduced = reduced + pe * f(e.map.apply_point(p))
-    return abs(reduced - markov_operator(spec, f, p))
+    labels = {fe.label for fe in fp.fms_edges if fe.class_id == cid}
+    reduced = full = Fraction(0)
+    for e, pe, q in _weighted_images(spec, p):
+        term = pe * f(q)
+        full = full + term
+        if e.edge_id in labels:
+            reduced = reduced + term
+    return abs(reduced - full)
 
 
 def verify_separations(fp: FundamentalPartition, spec: SystemSpec) -> list:

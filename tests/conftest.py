@@ -9,11 +9,13 @@ from typing import Optional
 import pytest
 from hypothesis import settings
 
-from rdsys.model import (AffineMap, Edge, InconsistentMerge, Interval,
-                         OutOfDomain, PiecewiseConstant, Point, RdsError,
-                         SystemSpec, cells_from_cuts, format_word)
+from rdsys.model import (AffineMap, DiscreteMeasure, Edge, InconsistentMerge,
+                         Interval, OutOfDomain, PiecewiseConstant, Point,
+                         PointLike, RdsError, SystemSpec, as_point,
+                         cells_from_cuts, format_word)
 from rdsys.partition import (BalancedProduct, ClassInfo, FmsEdge,
-                             PartitionParams, ProductGraph, SupportSeparation,
+                             FundamentalPartition, PartitionParams,
+                             ProductGraph, SupportSeparation, classify_point,
                              extract_symbolic_chain, stable_partition)
 from rdsys.systems import triadic_system  # re-exported: the tests import it from here
 
@@ -327,6 +329,64 @@ def union_find_partition(spec: SystemSpec, params=None) -> SimpleNamespace:
     return SimpleNamespace(
         partition=part, chain=chain, classes=classes, state_class=state_class,
         fms_edges=fms_edges, certificates=certificates, merged_pairs=merged)
+
+
+# ---------------------------------------------------------------------------
+# The one-step operator, its adjoint and the reduced-system check before they
+# shared one pass over a point's edges, kept verbatim as the oracles; the
+# check's `fp.edges_from(cid)`, since deleted, is written out as its body.
+
+def markov_operator(spec: SystemSpec, f, x: PointLike):
+    """One-step averaging of f: sum of p_e(x) * f(w_e(x)).
+
+    Edges with zero probability at x are skipped, so f is never evaluated
+    on images the process cannot reach in one step.
+    """
+    p = as_point(x)
+    spec.require_in_domain(p)
+    total = Fraction(0)
+    for e in spec.edges:
+        pe = e.prob.value_at(p)
+        if pe == 0:
+            continue
+        total = total + pe * f(e.map.apply_point(p))
+    return total
+
+
+def push_forward(spec: SystemSpec, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """Adjoint one-step action on a discrete measure, coalescing atoms exactly."""
+    acc: dict = {}
+    for p, w in nu.atoms:
+        spec.require_in_domain(p)
+        if w == 0:
+            continue
+        for e in spec.edges:
+            pe = e.prob.value_at(p)
+            if pe == 0:
+                continue
+            q = e.map.apply_point(p)
+            acc[q] = acc.get(q, Fraction(0)) + w * pe
+    atoms = tuple(sorted(((q, w) for q, w in acc.items() if w != 0),
+                         key=lambda item: (item[0].value, item[0].irrational_tag)))
+    return DiscreteMeasure(atoms)
+
+
+def adjoint_discrepancy(spec: SystemSpec, fp: FundamentalPartition,
+                        x: PointLike, f) -> Fraction:
+    """Exact defect between one-step averaging through the reduced edge
+    set and through the original system (zero when the reduction is an
+    equivalent system)."""
+    p = as_point(x)
+    spec.require_in_domain(p)
+    cid = classify_point(fp, p)
+    reduced = Fraction(0)
+    for fe in [fe for fe in fp.fms_edges if fe.class_id == cid]:
+        e = spec.edge(fe.label)
+        pe = e.prob.value_at(p)
+        if pe == 0:
+            continue
+        reduced = reduced + pe * f(e.map.apply_point(p))
+    return abs(reduced - markov_operator(spec, f, p))
 
 
 @pytest.fixture

@@ -138,6 +138,8 @@ def test_negative_depth_is_usage_error(step_file, argv, capsys):
     (["simulate", "--x0", "0", "--steps", "3", "--seed", "-1"], "seed must be >= 0"),
     (["simulate", "--x0", "0", "--steps", "-1", "--seed", "1"], "steps must be >= 0"),
     (["partition", "--seed", "-1"], "seed must be >= 0"),
+    (["partition", "--refine-cap", "-1"], "refine-cap must be >= 0, got -1"),
+    (["graph", "--refine-cap", "-1"], "refine-cap must be >= 0, got -1"),
 ])
 def test_bad_sampler_size_or_seed_is_usage_error(step_file, argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

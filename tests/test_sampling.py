@@ -193,7 +193,7 @@ def oracle_xi(spec, x, y, params: XiParams):
     if witness is None and cert is not None and cert.kind == "support_separation":
         witness = cert.word
 
-    persistent = any(all(table[(n, M)] >= 1 - params.tol for M in grid)
+    persistent = any(all(table[(n, M)] >= 1 - measures.PERSISTENT_TOL for M in grid)
                      for n in range(1, params.n_exact + 1))
     all_tails_zero = all(mass == 0 for mass in table.values())
 
