@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the full analysis pipeline over the bundled specimen systems and
-print the headline numbers: stable partition, merged classes with their
-certificates, stationary weights and first moments, contraction quotient,
-drift evidence for the split system, and empirical transport-contraction
-ratios.
+print the headline numbers: stable partition, merged classes with the
+certificates that separate them, stationary weights and first moments,
+contraction quotient, drift evidence for the split system, and empirical
+transport-contraction ratios.
 
 Usage: python scripts/reproduce_examples.py [--seed N] [--quick]
 """
@@ -20,7 +20,7 @@ from rdsys.dynamics import (Polynomial, class_frequencies, contraction_estimate,
                             convergence_rate, ergodic_average, simulate,
                             stationary_cloud)
 from rdsys.graph import (digraph_of_chain, exact_first_moment, is_aperiodic,
-                         is_irreducible, is_recurrent, stationary_distribution)
+                         is_irreducible, stationary_distribution)
 from rdsys.measures import XiParams, xi_estimate
 from rdsys.model import Point, format_rational
 from rdsys.partition import PartitionParams, fundamental_partition, stable_partition
@@ -42,8 +42,7 @@ def analyze(name, seed):
     for (i, j), cert in sorted(fp.certificates.items()):
         print(f"  pair ({i},{j}): {cert}")
     g = digraph_of_chain(fp.chain)
-    print(f"irreducible={is_irreducible(g)} aperiodic={is_aperiodic(g)} "
-          f"recurrent={is_recurrent(g)}")
+    print(f"irreducible={is_irreducible(g)} aperiodic={is_aperiodic(g)}")
 
     stat = stationary_distribution(fp.chain)
     if stat.unique:

@@ -62,33 +62,34 @@ class _Output:
             sys.stdout.write(json.dumps(json_tree, indent=2, sort_keys=True) + "\n")
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 UNUSED_SEED = "accepted and ignored: every verdict is exact, nothing is sampled"
 
 
-def _at_least(least: int, what: str):
-    """An argparse type: an int >= `least`, named `what` in the error."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"{what} must be >= {least}, got {value}")
+def _checked(convert, what: str = "", rule: str = "", ok=lambda value: True):
+    """An argparse type: `convert(text)`, a usage error naming `what` unless
+    it satisfies `ok`, stated as `rule`. An `RdsError` of `convert` is one too."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except RdsError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{what} must be {rule}, got {value}")
         return value
-    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    parse.__name__ = convert.__name__   # argparse names the type in "invalid int value"
     return parse
+
+
+def _at_least(least: int, what: str):
+    return _checked(int, what, f">= {least}", lambda v: v >= least)
 
 
 _depth = _at_least(0, "depth")
 _seed = _at_least(0, "seed")
 _refine_cap = _at_least(0, "refine-cap")
+_word_budget = _at_least(1, "word-budget")
+_drift_z = _checked(float, "drift-z", "positive and finite", lambda v: 0 < v < float("inf"))
+_test_function = _checked(dynamics.parse_test_function)
 
 
 def _add_common(sp, *, seeded: bool) -> None:
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True, help="start point (p/q or irr:p/q)")
     sp.add_argument("--depth", type=_depth, required=True)
     sp.add_argument("--include-zero", action="store_true")
-    sp.add_argument("--word-budget", type=int, default=measures.DEFAULT_WORD_BUDGET)
+    sp.add_argument("--word-budget", type=_word_budget, default=measures.DEFAULT_WORD_BUDGET)
 
     sp = sub.add_parser("xi", help="mutual-absolute-continuity evidence for two points")
     _add_common(sp, seeded=True)
@@ -123,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-exact", type=_depth, default=10)
     sp.add_argument("--n-mc", type=_at_least(1, "n-mc"), default=2000)
     sp.add_argument("--samples", type=_at_least(1, "samples"), default=4000)
-    sp.add_argument("--drift-z", type=float, default=4.0)
-    sp.add_argument("--word-budget", type=int, default=measures.DEFAULT_WORD_BUDGET)
+    sp.add_argument("--drift-z", type=_drift_z, default=4.0)
+    sp.add_argument("--word-budget", type=_word_budget, default=measures.DEFAULT_WORD_BUDGET)
 
     sp = sub.add_parser("partition", help="stable partition and merged classes")
     _add_common(sp, seeded=False)
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seeded=True)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--steps", type=_at_least(0, "steps"), required=True)
-    sp.add_argument("--f", action="append", default=[],
+    sp.add_argument("--f", type=_test_function, action="append", default=[],
                     help="test function poly:c0,c1,... or ind:lo,hi,own_lo,own_hi")
 
     sp = sub.add_parser("rate", help="empirical transport-distance contraction")
@@ -251,12 +252,12 @@ def _cmd_partition(args, spec, out: _Output) -> int:
     out.file("partition_report.txt", lambda: partmod.partition_report(fp))
     tree = {
         "breakpoints": [format_rational(b) for b in fp.partition.breakpoints],
-        "classes": {info.class_id: info.describe() for info in fp.classes},
+        "classes": {str(info.class_id): info.describe() for info in fp.classes},
         "certificates": {f"{i},{j}": str(c) for (i, j), c in sorted(fp.certificates.items())},
         "lift_defect": format_rational(worst),
         "operator_defect": format_rational(worst_u),
     }
-    out.flush(_jsonable(tree) if args.json else None)
+    out.flush(tree if args.json else None)
     return EXIT_OK
 
 
@@ -266,17 +267,11 @@ def _cmd_graph(args, spec, out: _Output) -> int:
     g = graphmod.digraph_of_chain(chain)
     irr = graphmod.is_irreducible(g)
     aper = graphmod.is_aperiodic(g)
-    rec = graphmod.is_recurrent(g)
     out.say(f"irreducible: {irr}")
     out.say(f"aperiodic: {aper}")
-    out.say(f"recurrent (every vertex reachable from every other): {rec}")
 
     stat = graphmod.stationary_distribution(chain)
-    terms = stat.terminal
-    out.say(f"terminal components: {terms}")
-    if not rec and len(terms) == 1:
-        # a terminal component is strongly connected, so recurrent on its own
-        out.say("recurrent restricted to terminal component: True")
+    out.say(f"terminal components: {stat.terminal}")
 
     def matrix_csv() -> str:
         csv = ["," + ",".join(f"state{j}" for j in range(chain.n_states))]
@@ -285,7 +280,7 @@ def _cmd_graph(args, spec, out: _Output) -> int:
         return "\n".join(csv) + "\n"
     out.file("matrix.csv", matrix_csv)
 
-    tree = {"irreducible": irr, "aperiodic": aper, "recurrent": rec}
+    tree = {"irreducible": irr, "aperiodic": aper}
     if stat.unique:
         out.say("stationary weights (exact):")
         for v in range(chain.n_states):
@@ -322,8 +317,7 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
     out.say(f"trace: {len(trace)} steps from x0={x0}, seed={trace.seed}, "
             f"exact prefix {trace.exact_steps} steps")
 
-    fs = [dynamics.parse_test_function(s) for s in args.f] or \
-         [dynamics.Polynomial((Fraction(0), Fraction(1)))]
+    fs = args.f or [dynamics.Polynomial((Fraction(0), Fraction(1)))]
     tree = {"steps": len(trace), "averages": {}}
     for f in fs:
         avg = dynamics.ergodic_average(trace, f)

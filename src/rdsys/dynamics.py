@@ -39,6 +39,7 @@ from .model import (DegenerateCellOnly, EmptySamples, EmptyTrace, Interval,
                     SystemSpec, as_point, format_rational, parse_rational)
 
 DENOMINATOR_BIT_CAP = 4096
+BOOTSTRAP = 32   # reference resample pairs behind `convergence_rate`'s noise floor
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +474,7 @@ class RateReport:
 
 
 def convergence_rate(spec: SystemSpec, start_cloud, reference_cloud,
-                     n_max: int, seed: int, *, bound: Optional[float] = None,
-                     bootstrap: int = 32) -> RateReport:
+                     n_max: int, seed: int, *, bound: Optional[float] = None) -> RateReport:
     """Transport distance to the reference cloud after each push step.
 
     Step ratios are reported only while the distance stays above a noise
@@ -485,8 +485,6 @@ def convergence_rate(spec: SystemSpec, start_cloud, reference_cloud,
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if bootstrap < 1:
-        raise ValueError(f"bootstrap must be >= 1, got {bootstrap}")
     ref = np.asarray(reference_cloud, dtype=np.float64)
     start = np.asarray(start_cloud, dtype=np.float64)
     if ref.size == 0 or start.size == 0:
@@ -494,7 +492,7 @@ def convergence_rate(spec: SystemSpec, start_cloud, reference_cloud,
 
     boot_rng = sampling.substream(seed, 1 << 40)
     scales = []
-    for _ in range(bootstrap):
+    for _ in range(BOOTSTRAP):
         ra = ref[boot_rng.integers(0, ref.size, size=ref.size)]
         rb = ref[boot_rng.integers(0, ref.size, size=ref.size)]
         scales.append(w1_distance(ra, rb))

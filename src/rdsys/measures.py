@@ -179,8 +179,7 @@ def likelihood_ratio(spec: SystemSpec, x: PointLike, y: PointLike,
 # martingale defect
 
 def martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
-                           m: int, n: int, *,
-                           budget: int = DEFAULT_WORD_BUDGET) -> Fraction:
+                           m: int, n: int) -> Fraction:
     """Largest defect of the prefix-ratio martingale identity.
 
     For each depth-m word C with positive y-mass, compares the exact
@@ -193,7 +192,7 @@ def martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
         raise ValueError(f"need m <= n, got m={m}, n={n}")
     if m < 0:
         raise ValueError(f"depth must be >= 0, got {m}")
-    scale, nodes = _code_walk(spec, x, y, n, budget)
+    scale, nodes = _code_walk(spec, x, y, n, DEFAULT_WORD_BUDGET)
     up = scale ** (n - m)   # takes a depth-m mass numerator over to scale**n
     worst = 0
     head = below = 0   # x-masses of a depth-m word and of its depth-n words
@@ -215,7 +214,7 @@ def martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
 # tail masses
 
 def tail_mass_exact(spec: SystemSpec, x: PointLike, y: PointLike, n: int,
-                    M, *, budget: int = DEFAULT_WORD_BUDGET) -> Fraction:
+                    M) -> Fraction:
     """Exact x-mass of depth-n words whose prefix ratio exceeds M.
 
     Words with positive x-mass and zero y-mass (infinite ratio) always
@@ -224,7 +223,7 @@ def tail_mass_exact(spec: SystemSpec, x: PointLike, y: PointLike, n: int,
     """
     M = Fraction(M)
     a, b = M.numerator, M.denominator
-    scale, nodes = _code_walk(spec, x, y, n, budget)
+    scale, nodes = _code_walk(spec, x, y, n, DEFAULT_WORD_BUDGET)
     power = [scale ** k for k in range(n + 1)]
     total = 0   # over scale**n
     for word, _x, _y, px, py in nodes:

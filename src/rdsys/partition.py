@@ -65,7 +65,9 @@ certificate, built from the same arrays only when asked for and
 re-checked by `verify_product_certificates`, is `SupportSeparation`
 (case 1), `BalancedProduct` (equivalent; diagonal coupling is the special
 case in which every reachable terminal component lies on the diagonal)
-or `UnbalancedProduct` (not equivalent, with no support gap).
+or `UnbalancedProduct` (not equivalent, with no support gap). A pair within
+a class is balanced, so `fp.certificates` holds only the pairs in different
+classes.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -504,11 +505,12 @@ class FundamentalPartition:
 
     @cached_property
     def certificates(self) -> dict:
-        """(i, j) state pair, i < j -> certificate, read off `product` on
-        first use."""
-        n = self.chain.n_states
+        """(i, j) state pair, i < j, in different classes -> certificate,
+        read off `product` on first use. A pair within a class is balanced,
+        as `state_class` says; `product.certificate(i, j)` gives any pair's."""
+        n, cls = self.chain.n_states, self.state_class
         return {(i, j): self.product.certificate(i, j)
-                for i in range(n) for j in range(i + 1, n)}
+                for i in range(n) for j in range(i + 1, n) if cls[i] != cls[j]}
 
     def class_count(self) -> int:
         return len(self.classes)
@@ -590,7 +592,7 @@ def classify_point(fp: FundamentalPartition, x: PointLike) -> int:
 # consistency checks against the original system
 
 def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
-               depth: int, *, budget: int = 1 << 20) -> Fraction:
+               depth: int) -> Fraction:
     """Largest defect between original cylinder masses and the summed
     masses of their path-consistent lifts through the reduced system.
 
@@ -605,7 +607,7 @@ def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
     edge_target = {(fe.class_id, fe.label): fe.target for fe in fp.fms_edges}
     row_of, state_class = fp.partition.cuts.row_of, fp.state_class
     live = {}   # depth -> the lift's class on the current word, None once dead
-    scale, nodes = measures._code_walk(spec, x, None, depth, budget)
+    scale, nodes = measures._code_walk(spec, x, None, depth, measures.DEFAULT_WORD_BUDGET)
     worst = 0   # over scale**depth
     for word, (n, d, tag), _y, px, _py in nodes:
         k = len(word)
@@ -670,7 +672,8 @@ def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -
     terminal component; an unbalanced pair's word must lead to the recorded vertex,
     which must lie in a terminal component and carry the recorded, unequal
     probabilities. Two states share a class exactly when their pair is
-    balanced.
+    balanced; a pair missing from `fp.certificates` is checked as balanced
+    when its states share a class and reported otherwise.
     """
     n, labels, prob, target = chain.n_states, chain.labels, chain.prob, chain.target
     size = n * n
@@ -721,7 +724,8 @@ def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -
     problems = []
     for i in range(n):
         for j in range(i + 1, n):
-            cert = fp.certificates.get((i, j))
+            same = fp.state_class[i] == fp.state_class[j]
+            cert = fp.certificates.get((i, j), BalancedProduct() if same else None)
             where = f"pair ({i},{j})"
             if isinstance(cert, SupportSeparation):
                 end = walk(i, j, cert.word[:-1])
@@ -748,7 +752,7 @@ def verify_product_certificates(chain: LabeledChain, fp: FundamentalPartition) -
             else:
                 problems.append(f"{where}: no certificate")
                 continue
-            if (fp.state_class[i] == fp.state_class[j]) != isinstance(cert, BalancedProduct):
+            if same != isinstance(cert, BalancedProduct):
                 problems.append(f"{where}: class membership contradicts the certificate")
     return problems
 
@@ -768,14 +772,12 @@ def partition_report(fp: FundamentalPartition) -> str:
     for info in fp.classes:
         lines.append(f"  class {info.class_id}: {info.describe()} "
                      f"(states {','.join(str(s) for s in info.states)})")
-    lines.append("certificates:")
+    lines.append("certificates (pairs in different classes; "
+                 "a pair within a class is balanced_product):")
     for (i, j), cert in sorted(fp.certificates.items()):
         lines.append(f"  states ({i},{j}): {cert}")
     lines.append("reduced edges (class,label) -> target [projection=label]:")
     for fe in fp.fms_edges:
         lines.append(f"  ({fe.class_id},{fe.label}) -> {fe.target}")
-    merges = [f"({i},{j}) exact" for i, j in
-              sorted(pair for info in fp.classes for pair in combinations(info.states, 2))]
-    lines.append("merges: " + ("; ".join(merges) if merges else "(none)"))
     lines.append("evidence grade: all certificates exact")
     return "\n".join(lines) + "\n"

@@ -105,9 +105,10 @@ def test_criterion_3_positive_step_single_class():
     t0 = time.perf_counter()
     fp = partition_of("positive_step")
     elapsed = time.perf_counter() - t0
-    cert = fp.certificates[(0, 1)]
+    cert = fp.product.certificate(0, 1)
     ok = (fp.class_count() == 1
           and cert == BalancedProduct()
+          and fp.certificates == {}
           and elapsed < 5.0)
     report(3, ok, f"classes={fp.class_count()} certificate={type(cert).__name__} "
                   f"runtime={elapsed:.2f}s")

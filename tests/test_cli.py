@@ -140,6 +140,26 @@ def test_negative_depth_is_usage_error(step_file, argv, capsys):
     (["partition", "--seed", "-1"], "seed must be >= 0"),
     (["partition", "--refine-cap", "-1"], "refine-cap must be >= 0, got -1"),
     (["graph", "--refine-cap", "-1"], "refine-cap must be >= 0, got -1"),
+    (["simulate", "--x0", "0", "--steps", "3", "--seed", "1", "--f", "foo:1"],
+     "unknown test function 'foo:1'"),
+    (["simulate", "--x0", "0", "--steps", "3", "--seed", "1", "--f", "ind:1,0,true,true"],
+     "empty interval"),
+    (["simulate", "--x0", "0", "--steps", "3", "--seed", "1", "--f", "poly:"],
+     "not a rational: ''"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--drift-z", "nan"],
+     "drift-z must be positive and finite, got nan"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--drift-z", "-1"],
+     "drift-z must be positive and finite, got -1.0"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--drift-z", "0"],
+     "drift-z must be positive and finite, got 0.0"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--drift-z", "inf"],
+     "drift-z must be positive and finite, got inf"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--drift-z", "four"],
+     "invalid float value: 'four'"),
+    (["xi", "--x", "1", "--y", "1/4", "--seed", "1", "--word-budget", "0"],
+     "word-budget must be >= 1, got 0"),
+    (["cylinders", "--x", "1", "--depth", "2", "--word-budget", "0"],
+     "word-budget must be >= 1, got 0"),
 ])
 def test_bad_sampler_size_or_seed_is_usage_error(step_file, argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -175,7 +195,8 @@ class TestGraph:
         assert "state 1 (0,1/9]: 1/7" in out
         assert "state 3 (1/3,1]: 4/7" in out
         assert "global mean: 2/7" in out
-        assert "recurrent restricted to terminal component: True" in out
+        # `irreducible` states it once
+        assert not any(line.startswith("recurrent") for line in out.splitlines())
         matrix = (outdir / "matrix.csv").read_text()
         assert "state2,0,1/2,0,1/2" in matrix
         pi = (outdir / "stationary.csv").read_text()

@@ -350,7 +350,59 @@ class TestProductCertificates:
         fp = fundamental_partition(triadic_system(5, random.Random(1)))
         assert fp.chain.n_states == 244
         assert fp.class_count() == 1
-        assert set(fp.certificates.values()) == {BalancedProduct()}
+        n = fp.chain.n_states
+        assert {fp.product.certificate(i, j) for i in range(n)
+                for j in range(i + 1, n)} == {BalancedProduct()}
+        assert fp.certificates == {}
+        assert verify_product_certificates(fp.chain, fp) == []
+
+    def test_certificates_are_the_pairs_in_different_classes(self):
+        """`fp.certificates` holds exactly the product's certificates of the
+        pairs whose states lie in different classes, and re-checks."""
+        rng = random.Random(0xCE57)
+        specs = [build() for build in systems.BUILDERS.values()]
+        specs += [triadic_system(m, random.Random(m), zeros)
+                  for m in (3, 4) for zeros in (False, True)]
+        specs += [random_system(rng) for _ in range(200)]
+        checked = within = 0
+        for spec in specs:
+            try:
+                fp = fundamental_partition(spec)
+            except RefinementBudgetExceeded:
+                continue
+            n, cls = fp.chain.n_states, fp.state_class
+            assert fp.certificates == {
+                (i, j): fp.product.certificate(i, j)
+                for i in range(n) for j in range(i + 1, n) if cls[i] != cls[j]}
+            assert verify_product_certificates(fp.chain, fp) == []
+            checked += 1
+            within += fp.class_count() < n
+        assert checked >= 150 and within >= 5, (checked, within)
+
+    @pytest.mark.parametrize("name", ["step_ninth", "step_twentyseventh", "rational_split"])
+    def test_verify_reports_a_deleted_certificate(self, name):
+        fp = fundamental_partition(systems.BUILDERS[name]())
+        certs = fp.certificates
+        assert certs
+        for (i, j) in certs:
+            fp.certificates = {pair: c for pair, c in certs.items() if pair != (i, j)}
+            assert f"pair ({i},{j}): no certificate" in \
+                verify_product_certificates(fp.chain, fp), (name, i, j)
+
+    @pytest.mark.parametrize("forged", [
+        SupportSeparation(word=("0",), mass_i=F(1, 4), mass_j=F(0)),
+        UnbalancedProduct(word=(), vertex=(0, 1), label="0", p_i=F(1, 4), p_j=F(1, 3))])
+    def test_verify_rejects_a_forged_same_class_entry(self, forged):
+        for spec in (POSITIVE, triadic_system(3, random.Random(1)),
+                     triadic_system(3, random.Random(1), True)):
+            fp = fundamental_partition(spec)
+            n = fp.chain.n_states
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if fp.state_class[i] == fp.state_class[j])
+            assert (i, j) not in fp.certificates
+            fp.certificates[(i, j)] = forged
+            assert f"pair ({i},{j}): class membership contradicts the certificate" in \
+                verify_product_certificates(fp.chain, fp)
 
 
 @pytest.mark.parametrize("m, seed, zeros, figures", [
@@ -511,7 +563,7 @@ def compare_with_oracle(fp) -> int:
     verdicts = oracle_verdicts(fp.chain)
     undecided = 0
     for pair, verdict in verdicts.items():
-        cert = fp.certificates[pair]
+        cert = fp.product.certificate(*pair)
         if isinstance(verdict, SupportSeparation):
             assert cert == verdict, pair
         elif verdict is None:
@@ -605,10 +657,10 @@ class TestDifferential:
             fp = fundamental_partition(spec)
             assert fp.classes == old.classes
             assert fp.state_class == old.state_class
-            merges = [f"({i},{j}) {grade}" for i, j, grade in old.merged_pairs]
-            assert f"\nmerges: {'; '.join(merges) or '(none)'}\n" in partition_report(fp)
             assert fp.fms_edges == old.fms_edges
-            assert list(fp.certificates.items()) == list(old.certificates.items())
+            assert list(fp.certificates.items()) == [
+                ((i, j), cert) for (i, j), cert in old.certificates.items()
+                if old.state_class[i] != old.state_class[j]]
             compared += 1
         assert compared >= 161, compared   # the 11 fixed systems, 150 random ones
 
@@ -618,13 +670,14 @@ class TestFundamentalPartition:
         fp = fundamental_partition(STEP, small_params())
         assert [info.describe() for info in fp.classes] == \
             ["{0}", "(0,1/9]", "(1/9,1/3]", "(1/3,1]"]
-        assert "\nmerges: (none)\n" in partition_report(fp)
 
     def test_positive_step_single_class(self):
         fp = fundamental_partition(POSITIVE, small_params())
         assert fp.class_count() == 1
-        assert fp.certificates[(0, 1)] == BalancedProduct()
-        assert "\nmerges: (0,1) exact\n" in partition_report(fp)
+        assert fp.product.certificate(0, 1) == BalancedProduct()
+        assert fp.certificates == {}
+        assert ("\ncertificates (pairs in different classes; a pair within a class is "
+                "balanced_product):\nreduced edges") in partition_report(fp)
 
     def test_split_two_classes_exact(self):
         fp = fundamental_partition(SPLIT, small_params())

@@ -470,8 +470,6 @@ def test_cloud_and_rate_reject_bad_sizes():
         dynamics.stationary_cloud(spec, 0, 3, 3)
     with pytest.raises(ValueError, match="n_max"):
         dynamics.convergence_rate(spec, [0.5], [0.5], -1, 3)
-    with pytest.raises(ValueError, match="bootstrap"):
-        dynamics.convergence_rate(spec, [0.5], [0.5], 2, 3, bootstrap=0)
     with pytest.raises(ValueError, match="seed"):
         dynamics.simulate(spec, Fraction(1, 2), 5, -1)
 
