@@ -14,18 +14,21 @@ The chain's digraph records which cells can follow which under
 positive-probability edges. Stationary weights and first moments are one
 routine's work, `_solve_closed`: it builds the linear equations of one
 closed set of states from the chain's arcs, solves them exactly over the
-rationals by sparse elimination, and checks every equation again from the
-arcs. The weights are solved on each terminal strongly connected
-component (transient vertices get weight zero), the moments on the one
-terminal component of a unique stationary law.
+rationals by p-adic lifting (`solve_exact`), and checks every equation
+again from the arcs. The weights are solved on each terminal strongly
+connected component (transient vertices get weight zero), the moments on
+the one terminal component of a unique stationary law.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -201,44 +204,128 @@ def terminal_components(g: Digraph) -> list:
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
+# Dixon's primes: the factorisation is tried modulo the first, then the second
+_PRIMES = (2 ** 127 - 1, 2 ** 521 - 1)
+
+
 def solve_exact(rows: list, rhs: list) -> list:
-    """Solve a square rational system by sparse Gaussian elimination.
+    """Solve a square rational system exactly by p-adic lifting.
 
     A row is a dense sequence or a `{column: value}` mapping; zero entries
-    are dropped. Each step pivots on the sparsest remaining row and, within
-    it, on the column that appears in the fewest remaining rows
-    (Markowitz-style), which keeps the fill-in of the chain systems small;
-    back-substitution follows. All arithmetic is in `Fraction`, so the
-    solution is exact. Raises `SingularSystem` when a row empties.
+    are dropped. The method is Dixon's (*Exact solution of linear equations
+    using p-adic expansions*, Numer. Math. 40, 1982):
+
+    - each row is scaled to integers, and the right-hand side is put over
+      one common denominator;
+    - the integer matrix A is factored once modulo the prime p = 2^127 - 1
+      by sparse elimination (`_eliminate`: the sparsest row first, then the
+      column used by the fewest remaining rows);
+    - each lift solves A y = r modulo p, updates the integer residual
+      exactly to (r - A y) / p, and adds y times the next power of p to the
+      p-adic solution;
+    - after each lift, one rational reconstruction with a shared
+      denominator D (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+      ch. 5) gives candidate numerators N, returned only when A N = D b
+      holds exactly over the integers.
+
+    A factorisation that succeeds modulo p proves det A nonzero, so a
+    candidate that passes is the unique solution. The lift bound comes from
+    Hadamard's bound on the determinants of Cramer's rule: with h the sum
+    of the bit lengths of A's squared column norms and of |b|^2, D and
+    every |numerator| are at most 2^(h/2), so after k = ceil((h + 4) / 126)
+    lifts modulo 2^127 - 1, p^k exceeds 2 (2^(h/2) + 1)^2 and the
+    reconstruction succeeds.
+
+    A zero pivot modulo p proves nothing: det A may be a nonzero multiple
+    of p. The factorisation is then retried once modulo 2^521 - 1, and if
+    that also fails, the same elimination in `Fraction` arithmetic decides
+    (`_solve_rational`); it raises `SingularSystem` when a row empties, as
+    every singular system does. The certificate of the stationary weights
+    and moments stays `_solve_closed`'s separate re-check of every equation
+    from the chain.
     """
-    n = len(rows)
-    active = {}
-    for r, row in enumerate(rows):
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        active[r] = {c: Fraction(v) for c, v in items if v != 0}
-    b = [Fraction(v) for v in rhs]
-    where = {c: set() for c in range(n)}     # column -> active rows using it
-    for r, row in active.items():
+    matrix, b, den = _integer_system(rows, rhs)
+    for p in _PRIMES:
+        try:
+            steps = _eliminate([{c: v % p for c, v in row.items() if v % p}
+                                for row in matrix], p)
+        except SingularSystem:
+            continue
+        num, d = _lift(matrix, b, steps, p)
+        return [Fraction(v, d * den) for v in num]
+    return _solve_rational(rows, rhs)
+
+
+def _row_items(row):
+    return row.items() if isinstance(row, Mapping) else enumerate(row)
+
+
+def _integer_system(rows: list, rhs: list) -> tuple:
+    """(matrix, b, den): every row scaled to integers ({column: value}, no
+    zeros) and the right-hand side over one common denominator den, so the
+    integer system's solution is den times the rational one."""
+    matrix, scaled = [], []
+    for row, v in zip(rows, rhs):
+        row = {c: _ratio(a) for c, a in _row_items(row) if a}
+        scale = math.lcm(*(d for _n, d in row.values()))
+        matrix.append({c: n * (scale // d) for c, (n, d) in row.items()})
+        n, d = _ratio(v)
+        g = math.gcd(n * scale, d)
+        scaled.append((n * scale // g, d // g))
+    den = math.lcm(*(d for _n, d in scaled))
+    return matrix, [n * (den // d) for n, d in scaled], den
+
+
+def _ratio(v) -> tuple:
+    """(numerator, denominator) of a value `Fraction` accepts."""
+    return (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
+
+
+def _eliminate(active: list, p: int = 0) -> list:
+    """Sparse Gaussian elimination of the rows `active` ({column: value}, no
+    zeros; consumed) over the integers modulo the prime p, or over the
+    rationals when p is 0.
+
+    Each step pivots on the sparsest remaining row (the lowest index on a
+    tie) and, within it, on the column that appears in the fewest remaining
+    rows (Markowitz-style), which keeps the fill-in of the chain systems
+    small. Returns the steps (row, column, inverse pivot, the row's other
+    columns and their values, the earlier pivot rows that updated the row
+    and their factors) for `_substitute`; raises `SingularSystem` when a
+    row empties.
+    """
+    where = [set() for _ in active]     # column -> remaining rows using it
+    sources = [([], []) for _ in active]    # row -> pivot rows and factors applied to it
+    for r, row in enumerate(active):
         for c in row:
             where[c].add(r)
+    queue = [(len(row), r) for r, row in enumerate(active)]     # stale entries skipped
+    heapq.heapify(queue)
 
-    eliminated = []
-    while active:
-        r = min(active, key=lambda k: (len(active[k]), k))
-        row = active.pop(r)
+    steps = []
+    while queue:
+        size, r = heapq.heappop(queue)
+        row = active[r]
+        if row is None or len(row) != size:
+            continue
         if not row:
             raise SingularSystem(f"singular system: row {r} empties")
+        active[r] = None
         col = min(row, key=lambda c: (len(where[c]), c))
         for c in row:
             where[c].discard(r)
-        pivot = row[col]
-        for other in where.pop(col):
+        pivot = row.pop(col)
+        inv = pow(pivot, -1, p) if p else 1 / pivot
+        rest = list(row.items())
+        for other in where[col]:
             orow = active[other]
-            factor = orow.pop(col) / pivot
-            for c, v in row.items():
-                if c == col:
-                    continue
+            factor = orow.pop(col) * inv
+            if p:
+                factor %= p
+            for c, v in rest:
                 value = orow.get(c, 0) - factor * v
+                if p:
+                    value %= p
                 if value:
                     if c not in orow:
                         where[c].add(other)
@@ -246,13 +333,85 @@ def solve_exact(rows: list, rhs: list) -> list:
                 else:
                     del orow[c]
                     where[c].discard(other)
-            b[other] -= factor * b[r]
-        eliminated.append((col, row, b[r]))
+            sources[other][0].append(r)
+            sources[other][1].append(factor)
+            heapq.heappush(queue, (len(orow), other))
+        steps.append((r, col, inv, tuple(row), tuple(row.values()), *sources[r]))
+    return steps
 
-    x = [Fraction(0)] * n
-    for col, row, rhs_r in reversed(eliminated):
-        x[col] = (rhs_r - sum(v * x[c] for c, v in row.items() if c != col)) / row[col]
+
+def _substitute(steps: list, b: list, p: int = 0) -> list:
+    """Solve the eliminated system for the right-hand side b (consumed):
+    the row updates of `steps` in order, then back-substitution, modulo p
+    or, when p is 0, over the rationals."""
+    for r, _col, _inv, _cols, _values, srcs, factors in steps:
+        v = b[r] - sum(map(mul, factors, map(b.__getitem__, srcs)))
+        b[r] = v % p if p else v
+    x = [0] * len(b)
+    for r, col, inv, cols, values, _srcs, _factors in reversed(steps):
+        v = (b[r] - sum(map(mul, values, map(x.__getitem__, cols)))) * inv
+        x[col] = v % p if p else v
     return x
+
+
+def _solve_rational(rows: list, rhs: list) -> list:
+    """`solve_exact`'s sparse elimination in `Fraction` arithmetic, which
+    decides the systems that no prime factors."""
+    active = [{c: Fraction(v) for c, v in _row_items(row) if v} for row in rows]
+    return _substitute(_eliminate(active), [Fraction(v) for v in rhs])
+
+
+def _lift(matrix: list, b: list, steps: list, p: int) -> tuple:
+    """Dixon's lifting for the integer system matrix x = b, whose
+    factorisation modulo p is `steps`: (numerators, common denominator)."""
+    rows = [(tuple(row), tuple(row.values())) for row in matrix]
+    # Hadamard: by columns, |det A| and every |det A_i| of Cramer's rule are
+    # at most 2^(bits / 2)
+    norms = [0] * len(rows)
+    for row in matrix:
+        for c, a in row.items():
+            norms[c] += a * a
+    bits = sum(v.bit_length() for v in norms) + sum(v * v for v in b).bit_length()
+    lifts = -(-(bits + 4) // (p.bit_length() - 1))
+
+    x, modulus, residual = [0] * len(rows), 1, b
+    for _ in range(lifts):
+        digit = _substitute(steps, [v % p for v in residual], p)
+        residual = [(v - sum(map(mul, values, map(digit.__getitem__, cols)))) // p
+                    for v, (cols, values) in zip(residual, rows)]
+        x = [u + modulus * d for u, d in zip(x, digit)]
+        modulus *= p
+        got = _reconstruct(x, modulus)
+        if got and all(sum(map(mul, values, map(got[0].__getitem__, cols))) == got[1] * v
+                       for (cols, values), v in zip(rows, b)):
+            return got
+    raise RdsError("p-adic solve found no solution within its lift bound")
+
+
+def _reconstruct(x: list, modulus: int) -> Optional[tuple]:
+    """Rational reconstruction of x modulo `modulus` with one shared
+    denominator: (numerators, d) with each numerator congruent to d * x_i,
+    and d and every |numerator| at most sqrt(modulus / 2), or None."""
+    bound = math.isqrt((modulus - 1) // 2)
+    den, found = 1, []
+    for v in x:
+        y = den * v % modulus
+        if y > bound:
+            if modulus - y <= bound:
+                y -= modulus
+            else:
+                # extended Euclid on (modulus, y) down to the first remainder
+                # <= bound; the cofactor |t1| only grows
+                r0, r1, t0, t1, limit = modulus, y, 0, 1, bound // den
+                while r1 > bound:
+                    q = r0 // r1
+                    r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+                    if abs(t1) > limit:
+                        return None
+                y, t1 = (r1, t1) if t1 > 0 else (-r1, -t1)
+                den *= t1
+        found.append((y, den))
+    return [y * (den // d) for y, d in found], den
 
 
 def _arcs(chain, states: list):
@@ -327,7 +486,7 @@ def aggregated_matrix(chain) -> list:
 def stationary_distribution(chain, *, exact_max_states: int = 128) -> StationaryResult:
     """Exact stationary weights of the aggregated chain, at every size.
 
-    Solved by sparse rational elimination on each terminal strongly
+    Solved exactly by `solve_exact` on each terminal strongly
     connected component (transient vertices get weight zero), then
     normalised; every balance equation is checked exactly and a nonzero
     residual raises. When several terminal components exist the result
@@ -358,7 +517,7 @@ def stationary_from_matrix(rows: list) -> StationaryResult:
 
     n = len(rows)
     prob = {(i, str(j)): Fraction(p) for i, row in enumerate(rows)
-            for j, p in enumerate(row) if p != 0}
+            for j, p in enumerate(row) if p}
     return stationary_distribution(LabeledChain(
         n_states=n, labels=tuple(str(j) for j in range(n)), prob=prob,
         target={(i, j): int(j) for i, j in prob}, reps={}, cells=[]))
@@ -404,8 +563,16 @@ def exact_first_moment(spec, chain, stationary: StationaryResult) -> MomentResul
 
 
 def eigenvalue_moduli(chain) -> list:
-    """|eigenvalues| of the aggregated matrix (float diagnostic), descending."""
-    mat = aggregated_matrix(chain)
-    arr = np.array([[float(v) for v in row] for row in mat])
+    """|eigenvalues| of the aggregated matrix (float diagnostic), descending.
+
+    Each entry is summed exactly from the chain's arcs, then rounded once,
+    so the float matrix is that of `aggregated_matrix`."""
+    entries: dict = {}
+    for (s, label), p in chain.prob.items():
+        key = (s, chain.target[(s, label)])
+        entries[key] = entries.get(key, 0) + p
+    arr = np.zeros((chain.n_states, chain.n_states))
+    for (s, t), p in entries.items():
+        arr[s, t] = float(p)
     vals = np.linalg.eigvals(arr)
     return sorted((abs(complex(v)) for v in vals), reverse=True)

@@ -643,13 +643,20 @@ def adjoint_discrepancy(spec: SystemSpec, fp: FundamentalPartition,
 
 def verify_separations(fp: FundamentalPartition, spec: SystemSpec) -> list:
     """Re-check every separation witness against exact cylinder masses at
-    the representative points; returns human-readable failures."""
+    the representative points; returns human-readable failures. Each
+    distinct (state, word) mass is computed once."""
+    masses: dict = {}
+
+    def mass(state: int, word: Word) -> Fraction:
+        if (state, word) not in masses:
+            masses[state, word] = measures.cylinder_measure(spec, fp.chain.reps[state], word)
+        return masses[state, word]
+
     problems = []
     for (i, j), cert in sorted(fp.certificates.items()):
         if not isinstance(cert, SupportSeparation):
             continue
-        mi = measures.cylinder_measure(spec, fp.chain.reps[i], cert.word)
-        mj = measures.cylinder_measure(spec, fp.chain.reps[j], cert.word)
+        mi, mj = mass(i, cert.word), mass(j, cert.word)
         if mi != cert.mass_i or mj != cert.mass_j:
             problems.append(f"pair ({i},{j}): recomputed masses "
                             f"{format_rational(mi)},{format_rational(mj)} differ")

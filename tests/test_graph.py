@@ -427,6 +427,87 @@ class TestSparseSolverAgainstDenseOracle:
         assert all(seen.values()), seen
 
 
+class TestPadicSolver:
+    """`solve_exact` lifts modulo a prime; the kept `Fraction` elimination
+    `graph._solve_rational` and the dense Gauss-Jordan above are its oracles."""
+
+    def test_agrees_with_rational_elimination_on_triadic_m5(self, monkeypatch):
+        solved = []
+        solve = graph.solve_exact
+        monkeypatch.setattr(graph, "solve_exact",
+                            lambda rows, rhs: solved.append((rows, rhs, solve(rows, rhs)))
+                            or solved[-1][2])
+        for seed in (1, 3):
+            for zeros in (False, True):
+                spec = oracle.triadic_system(5, random.Random(seed), zeros)
+                chain = extract_symbolic_chain(spec, stable_partition(spec))
+                res = stationary_distribution(chain)
+                if res.unique:
+                    exact_first_moment(spec, chain, res)
+        assert max(len(rows) for rows, _rhs, _x in solved) >= 237
+        for rows, rhs, x in solved:
+            assert x == graph._solve_rational(rows, rhs)
+
+    def test_small_primes_lose_pivots_but_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(graph, "_PRIMES", (5, 7))
+        lost = []       # the primes at which a factorisation lost a pivot
+        eliminate = graph._eliminate
+
+        def watched(active, p=0):
+            try:
+                return eliminate(active, p)
+            except SingularSystem:
+                lost.append(p)
+                raise
+
+        monkeypatch.setattr(graph, "_eliminate", watched)
+        rng = random.Random(0x5A11)
+        seen = {(): 0, (5,): 0, (5, 7): 0, "singular": 0}
+        for trial in range(400):
+            n = rng.randint(1, 7)
+            rows = [[random_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(n)]
+                    for _ in range(n)]
+            if trial % 5 == 4 and n > 1:
+                rows[0] = [2 * v for v in rows[-1]]
+            rhs = [random_rational(rng) for _ in range(n)]
+            lost.clear()
+            try:
+                expected = dense_gauss_jordan(rows, rhs)
+            except SingularSystem:
+                seen["singular"] += 1
+                with pytest.raises(SingularSystem):
+                    solve_exact(rows, rhs)
+                continue
+            assert solve_exact(rows, rhs) == expected
+            seen[tuple(lost)] += 1
+        assert min(seen.values()) >= 10, seen
+
+        for spec in [systems.bundled_spec(name) for name in systems.BUILDERS] + [
+                oracle.triadic_system(3, random.Random(3), zeros) for zeros in (False, True)]:
+            chain = extract_symbolic_chain(spec, stable_partition(spec))
+            res = stationary_distribution(chain)
+            assert res.component_pis == dense_component_pis(chain)
+            if res.unique:
+                assert exact_first_moment(spec, chain, res).per_class == \
+                    dense_moments(spec, chain, res.pi)
+
+    def test_a_2000_bit_right_hand_side_takes_many_lifts(self, monkeypatch):
+        rng = random.Random(0x2000)
+        n = 12
+        rows = [[F(0)] * n for _ in range(n)]
+        for r in range(n):
+            for c in rng.sample(range(n), 3):
+                rows[r][c] = random_rational(rng)
+            rows[r][r] = F(rng.randint(30, 40), rng.randint(1, 6))
+        rhs = [F(rng.getrandbits(2000) - 2 ** 1999) for _ in range(n)]
+        lifts = []
+        substitute = graph._substitute
+        monkeypatch.setattr(graph, "_substitute",
+                            lambda steps, b, p=0: lifts.append(p) or substitute(steps, b, p))
+        assert solve_exact(rows, rhs) == dense_gauss_jordan(rows, rhs)
+        assert len(lifts) >= 2 * 2000 // 127 and set(lifts) == {graph._PRIMES[0]}
+
+
 def test_triadic_244_states_exact_weights_and_moments():
     spec = oracle.triadic_system(5, random.Random(1))
     chain = extract_symbolic_chain(spec, stable_partition(spec))

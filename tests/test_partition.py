@@ -219,6 +219,30 @@ class TestSupportSeparation:
                 assert (mi == 0) != (mj == 0)
 
 
+class TestVerifySeparations:
+    """`verify_separations` computes each (state, word) mass once: on STEP,
+    (0,2) and (0,3) share state 0 and word 0, and (0,3) and (1,3) share
+    state 3 and word 0. A forged certificate must still be reported."""
+
+    def _fp(self):
+        fp = fundamental_partition(STEP, small_params())
+        assert {fp.certificates[pair].word for pair in ((0, 2), (0, 3), (1, 3))} == {("0",)}
+        assert verify_separations(fp, STEP) == []
+        return fp
+
+    @pytest.mark.parametrize("pair, text", [((0, 2), "0,2"), ((0, 3), "0,3")])
+    def test_forged_mass_on_a_shared_state_and_word(self, pair, text):
+        fp = self._fp()
+        fp.certificates[pair] = replace(fp.certificates[pair], mass_i=F(1, 8))
+        assert verify_separations(fp, STEP) == [f"pair ({text}): recomputed masses 0,1/2 differ"]
+
+    def test_forged_word_that_does_not_separate(self):
+        # from states 2 and 3, word 0 has mass 1/2 each, both already computed
+        fp = self._fp()
+        fp.certificates[(2, 3)] = SupportSeparation(word=("0",), mass_i=F(1, 2), mass_j=F(1, 2))
+        assert verify_separations(fp, STEP) == ["pair (2,3): word 0 does not separate"]
+
+
 class TestMeasureEquality:
     """Equal path measures give balanced product certificates."""
 
