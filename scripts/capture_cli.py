@@ -14,7 +14,10 @@ weights 1..4 it is one class of 3,321 merged pairs; it is written to
 OUTDIR/triadic4_1to4/system.txt and run through `partition` and `graph`.
 At 244 states with weights 1..4 it is one terminal class, whose exact
 weights and moments `graph` solves; it is written to
-OUTDIR/triadic5_1to4/system.txt and run through `graph`:
+OUTDIR/triadic5_1to4/system.txt and run through `graph`. The shipped
+`mixed_split` system, whose piecewise edges sit beside edges that read the
+rationality tag, is run through `partition`, `graph`, `simulate` from an
+irrational start and `xi` on a separated pair:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -57,6 +60,8 @@ DEEP_SYSTEM = "positive_step"
 SAMPLED_SYSTEM = "step_ninth"
 # an irrational start on the system whose probabilities read the tag
 TAGGED_SYSTEM = "rational_split"
+# piecewise edges beside edges that read the tag; shipped, but not bundled
+MIXED_SYSTEM = "mixed_split"
 
 
 # generated system -> (m for 3^m + 1 states, the lowest of its four seeded weights)
@@ -80,6 +85,14 @@ def generated_runs(path: str, m: int, low: int):
         # a separated pair, and a balanced one: (4/81,5/81] and (5/81,2/27] share class 5
         yield "xi_separated", xi(path, "1/3", "2/3", 4)
         yield "xi_balanced", xi(path, "1/18", "11/162", 4)
+
+
+def mixed_runs(path: str):
+    yield "partition", ["partition", path, "--seed", SEED, "--json"]
+    yield "graph", ["graph", path, "--seed", SEED, "--json"]
+    yield "simulate_irrational", ["simulate", path, "--x0", "irr:1/5", "--steps", "20000",
+                                  "--seed", SEED, "--f", "poly:0,1", "--json"]
+    yield "xi_separated", xi(path, "1/5", "4/5", 6)
 
 
 def runs(name: str, path: str):
@@ -126,6 +139,7 @@ def main() -> int:
     args = ap.parse_args()
     root = Path(args.outdir)
     plan = [(name, runs(name, str(systems.bundled_path(name)))) for name in SYSTEMS]
+    plan.append((MIXED_SYSTEM, mixed_runs(str(systems.bundled_path(MIXED_SYSTEM)))))
     for name, (m, low) in GENERATED.items():
         generated = root / name / "system.txt"
         generated.parent.mkdir(parents=True, exist_ok=True)

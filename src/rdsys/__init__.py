@@ -20,8 +20,7 @@ from .partition import (BalancedProduct, Cell, FundamentalPartition,
                         ProductGraph, UnbalancedProduct, classify_point,
                         extract_symbolic_chain, fundamental_partition,
                         lift_check, pair_certificate, refine_markov_partition,
-                        stable_partition, tagged_partition,
-                        verify_product_certificates)
+                        stable_partition, verify_product_certificates)
 from .graph import (Digraph, MomentResult, StationaryResult, digraph_of_chain,
                     exact_first_moment, is_aperiodic, is_irreducible,
                     is_recurrent, stationary_distribution,

@@ -145,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", type=_test_function, action="append", default=[],
                     help="test function poly:c0,c1,... or ind:lo,hi,own_lo,own_hi")
 
-    sp = sub.add_parser("rate", help="empirical transport-distance contraction")
+    sp = sub.add_parser("rate", help="empirical transport-distance contraction",
+                        description="Cloud atoms are untagged, so on a system that reads "
+                        "the rationality tag the rate is that of the rational cells.")
     _add_common(sp, seeded=True)
     sp.add_argument("--b", default=None,
                     help="step probability for the comparison bound max(1/3,b)^(1/2)")
@@ -212,12 +214,14 @@ def _cmd_xi(args, spec, out: _Output) -> int:
     return EXIT_OK
 
 
-def _spot_points(spec, count: int):
+def _spot_points(spec, fp, count: int):
     lo, hi = spec.domain.lo, spec.domain.hi
     pts = [Point(lo + (hi - lo) * Fraction(k + 1, count + 1)) for k in range(count)]
     if spec.has_rationality_edges:
         half = len(pts) // 2
-        pts = pts[:half] + [Point(p.value, True) for p in pts[half:]]
+        # a one-point cell has no irrational copy, so a point there stays rational
+        singles = {c.interval.lo for c in fp.partition.cells if c.interval.is_degenerate}
+        pts = pts[:half] + [Point(p.value, p.value not in singles) for p in pts[half:]]
     return pts
 
 
@@ -231,7 +235,7 @@ def _cmd_partition(args, spec, out: _Output) -> int:
         raise RdsError(f"certificate re-verification failed: {p}")
 
     depth = args.lift_depth
-    points = _spot_points(spec, 5)
+    points = _spot_points(spec, fp, 5)
     worst = Fraction(0)
     for p in points:
         worst = max(worst, partmod.lift_check(spec, fp, p, depth))
@@ -241,7 +245,7 @@ def _cmd_partition(args, spec, out: _Output) -> int:
           dynamics.Polynomial((Fraction(0), Fraction(1))),
           dynamics.Polynomial((Fraction(0), Fraction(0), Fraction(1)))]
     worst_u = Fraction(0)
-    for p in _spot_points(spec, 20):
+    for p in _spot_points(spec, fp, 20):
         for f in fs:
             worst_u = max(worst_u, partmod.adjoint_discrepancy(spec, fp, p, f))
     out.say(f"one-step operator agreement defect (20 points, f in {{1,x,x^2}}): "

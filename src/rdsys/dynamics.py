@@ -349,10 +349,11 @@ def class_frequencies(trace: Trace, fp) -> dict:
     Positions are filed by the stable partition's `Cuts`: the exact prefix
     by exact bisection, the float positions in chunks of `CHUNK` by one
     `searchsorted` each, so only a float position within rounding of a cut
-    can be misfiled.
+    can be misfiled. The partition's `states` map rows to cells; a position
+    in a one-point cell's empty irrational row raises `OutOfDomain`.
     """
-    cuts = fp.partition.cuts
-    n_rows = len(fp.chain.cells)
+    cuts, states = fp.partition.cuts, fp.partition.states
+    n_rows = len(states)
     n, n_exact, n_tagged = len(trace.positions), len(trace.exact), trace.n_tagged
     counts = np.bincount(np.array([cuts.row_of(p, q, k < n_tagged)
                                    for k, (p, q) in enumerate(trace.exact)], dtype=np.intp),
@@ -362,8 +363,11 @@ def class_frequencies(trace: Trace, fp) -> dict:
         counts += np.bincount(cuts.rows(trace.positions[lo:hi], np.arange(lo, hi) < n_tagged),
                               minlength=n_rows)
     by_class = dict.fromkeys((info.class_id for info in fp.classes), 0)
-    for state, count in enumerate(counts.tolist()):
-        by_class[fp.state_class[state]] += count
+    for state, count in zip(states, counts.tolist()):
+        if state >= 0:
+            by_class[fp.state_class[state]] += count
+        elif count:
+            raise OutOfDomain("the trace visits the irrational copy of a one-point cell")
     return {cid: Fraction(count, n) for cid, count in by_class.items()}
 
 
@@ -422,7 +426,9 @@ def push_cloud(spec: SystemSpec, cloud: np.ndarray, steps: int, seed: int, *,
                record: bool = False):
     """Advance every atom `steps` steps; atom i consumes the first draws of
     substream i, so scheduling cannot change the result. An atom outside
-    the domain, or NaN, raises `OutOfDomain`."""
+    the domain, or NaN, raises `OutOfDomain`. Atoms are untagged floats,
+    so on a system whose probabilities read the rationality tag the cloud
+    moves as rational points do, through the rational cells only."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     positions = np.asarray(cloud, dtype=np.float64)

@@ -50,10 +50,6 @@ class DegenerateSampling(RdsError):
     """Exact enumeration found a mass deficiency (spec bug)."""
 
 
-class NotPiecewiseConstant(RdsError):
-    pass
-
-
 class RefinementBudgetExceeded(BudgetExceeded):
     """No finite stable partition found below the breakpoint cap."""
 
@@ -321,10 +317,6 @@ class PiecewiseConstant:
             if domain.lo < t < domain.hi or t in (domain.lo, domain.hi):
                 cuts.append((t, +1 if left.own_hi else -1))
         return cuts
-
-    def constant_value(self):
-        vals = {val for _, val in self.pieces}
-        return vals.pop() if len(vals) == 1 else None
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,7 @@ import numpy as np
 
 from . import graph as graphmod, measures
 from .model import (Cuts, ImageSplitsCells, InconsistentMerge, Interval,
-                    NonConstantOnCell, NotPiecewiseConstant,
-                    OutOfDomain, PiecewiseConstant, Point, PointLike,
+                    NonConstantOnCell, OutOfDomain, PiecewiseConstant, Point, PointLike,
                     RationalityPredicate, RefinementBudgetExceeded,
                     SystemSpec, Word, as_point,
                     _weighted_images, cells_from_cuts, format_rational,
@@ -121,10 +120,11 @@ class Cell:
 
 @dataclass
 class IntervalPartition:
-    """Ordered cells covering the domain exactly, with their `Cuts`, whose
-    rows are the cell indices. A tagged partition lists each interval as
-    its rational cell, then its irrational cell, so row 2*k + tag of the
-    k-th interval is that cell's index."""
+    """Ordered cells covering the domain exactly, with the `Cuts` of their
+    intervals. A tagged partition lists each interval's rational cell, then
+    its irrational cell, which a one-point interval lacks. `states` maps a
+    cut row (2*k + tag for the k-th interval when tagged) to its cell
+    index, or -1 for the empty irrational row of a one-point interval."""
 
     domain: Interval
     cells: list
@@ -132,39 +132,54 @@ class IntervalPartition:
     tagged: bool
 
     def __post_init__(self):
-        intervals = [c.interval for c in self.cells]
-        self.cuts = Cuts(intervals[::2] if self.tagged else intervals, self.tagged)
+        self.states = []   # an irrational cell fills its interval's second row
+        for s, cell in enumerate(self.cells):
+            if cell.tag == IRRATIONAL_TAG:
+                self.states[-1] = s
+            else:
+                self.states += [s, -1] if self.tagged else [s]
+        self.cuts = Cuts([c.interval for c in self.cells if c.tag != IRRATIONAL_TAG],
+                         self.tagged)
 
     @property
     def breakpoints(self) -> list:
         return sorted({t for (t, _side) in self.provenance})
 
     def cell_of_point(self, p: Point) -> int:
-        if not self.cuts.span.contains_value(p.value):
-            raise OutOfDomain(f"point {p} not covered by any cell")
-        return self.cuts.row_of(p.value.numerator, p.value.denominator, p.irrational_tag)
+        """The index of the cell holding p; `OutOfDomain` when no cell
+        does, as for a tagged point at a one-point cell's value."""
+        v = p.value
+        if self.cuts.span.contains_value(v):
+            state = self.states[self.cuts.row_of(v.numerator, v.denominator, p.irrational_tag)]
+            if state >= 0:
+                return state
+        raise OutOfDomain(f"point {p} not covered by any cell")
 
 
 def refine_markov_partition(spec: SystemSpec, cap: int = REFINE_CAP) -> IntervalPartition:
-    """Breakpoint closure of a piecewise-constant system.
+    """The stable partition: the breakpoint closure of the piecewise
+    edges, crossed with the rational/irrational tag when an edge reads it.
 
     Starting from the probability discontinuities, repeatedly pulls every
     cut back through every invertible map until closed, so each map sends
     each resulting cell into exactly one cell. A cut (t, +1) separates
     points <= t from points > t, and (t, -1) separates < t from >= t;
     increasing maps preserve the side, decreasing maps flip it.
+
+    Crossing with the tag keeps the partition stable: rational
+    coefficients keep a point rational or irrational, and a slope-0 map
+    sends every point to its rational intercept. A one-point cell gets
+    only its rational copy, since its irrational copy would be empty.
     """
-    if spec.has_rationality_edges:
-        raise NotPiecewiseConstant(
-            "refinement needs piecewise-constant probabilities only")
     domain = spec.domain
     cuts: dict = {}
     worklist = []
     for e in spec.edges:
-        for t, side in e.prob.boundary_cuts(domain):
-            if (t, side) not in cuts:
-                cuts[(t, side)] = "probability"
-                worklist.append((t, side))
+        if isinstance(e.prob, PiecewiseConstant):
+            for t, side in e.prob.boundary_cuts(domain):
+                if (t, side) not in cuts:
+                    cuts[(t, side)] = "probability"
+                    worklist.append((t, side))
     points = {t for t, _side in cuts}
     while worklist:
         t, side = worklist.pop()
@@ -183,34 +198,15 @@ def refine_markov_partition(spec: SystemSpec, cap: int = REFINE_CAP) -> Interval
                     raise RefinementBudgetExceeded(
                         f"no finite stable partition found at cap {cap} breakpoints")
 
-    cells = [Cell(iv) for iv in cells_from_cuts(domain, cuts.keys())]
+    tagged = spec.has_rationality_edges
+    tags = (RATIONAL_TAG, IRRATIONAL_TAG) if tagged else (None,)
+    cells = [Cell(iv, tag) for iv in cells_from_cuts(domain, cuts.keys()) for tag in tags
+             if not (tag == IRRATIONAL_TAG and iv.is_degenerate)]
     return IntervalPartition(domain=domain, cells=cells, provenance=dict(cuts),
-                             tagged=False)
+                             tagged=tagged)
 
 
-def tagged_partition(spec: SystemSpec) -> IntervalPartition:
-    """The rational/irrational two-cell partition for predicate systems.
-
-    Valid because rational map coefficients preserve rationality (a zero
-    slope collapses to the rational intercept). Any piecewise edge must be
-    globally constant, else no tag-only partition can make probabilities
-    constant per cell.
-    """
-    for e in spec.edges:
-        if isinstance(e.prob, PiecewiseConstant) and e.prob.constant_value() is None:
-            raise NotPiecewiseConstant(
-                f"edge {e.edge_id} mixes interval pieces with rationality "
-                "predicates; no tag partition applies")
-    dom = Interval(spec.domain.lo, spec.domain.hi, spec.domain.own_lo, spec.domain.own_hi)
-    cells = [Cell(dom, RATIONAL_TAG), Cell(dom, IRRATIONAL_TAG)]
-    return IntervalPartition(domain=spec.domain, cells=cells, provenance={},
-                             tagged=True)
-
-
-def stable_partition(spec: SystemSpec, cap: int = REFINE_CAP) -> IntervalPartition:
-    if spec.has_rationality_edges:
-        return tagged_partition(spec)
-    return refine_markov_partition(spec, cap)
+stable_partition = refine_markov_partition
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +251,7 @@ def extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> Labeled
     `CellIndex`; every edge is constant on the cell exactly when the cell
     lies inside one common-refinement cell. An edge that reads the tag
     needs a tagged cell. Each image finds its cell by one bisection on the
-    partition's `Cuts`."""
+    partition's `Cuts`, read through its `states`."""
     index = spec.cell_index
     reads_tag = [isinstance(e.prob, RationalityPredicate) and e.prob.constant_value() is None
                  for e in spec.edges]
@@ -286,7 +282,8 @@ def extract_symbolic_chain(spec: SystemSpec, part: IntervalPartition) -> Labeled
             # a constant map sends every point to its rational intercept
             image_irrational = cell.tag == IRRATIONAL_TAG and e.map.slope != 0
             hit = part.cuts.row_of_interval(image, image_irrational)
-            if hit is None:
+            hit = -1 if hit is None else part.states[hit]
+            if hit < 0:
                 raise ImageSplitsCells(
                     f"edge {e.edge_id} image {image} of cell {cell} "
                     "not inside a single cell")
@@ -577,8 +574,7 @@ def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
     try:
         part = stable_partition(spec)
         product = ProductGraph(extract_symbolic_chain(spec, part))
-    except (RefinementBudgetExceeded, NotPiecewiseConstant, NonConstantOnCell,
-            ImageSplitsCells):
+    except (RefinementBudgetExceeded, NonConstantOnCell, ImageSplitsCells):
         return None
     return product.certificate(part.cell_of_point(as_point(x)),
                                part.cell_of_point(as_point(y)))
@@ -605,9 +601,11 @@ def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
     and zero from then on: a word's defect is its mass if the lift died.
     """
     edge_target = {(fe.class_id, fe.label): fe.target for fe in fp.fms_edges}
-    row_of, state_class = fp.partition.cuts.row_of, fp.state_class
+    row_of, part = fp.partition.cuts.row_of, fp.partition
+    class_of_row = [fp.state_class.get(s) for s in part.states]
     live = {}   # depth -> the lift's class on the current word, None once dead
     scale, nodes = measures._code_walk(spec, x, None, depth, measures.DEFAULT_WORD_BUDGET)
+    part.cell_of_point(as_point(x))   # a point no cell holds raises; its orbit stays in cells
     worst = 0   # over scale**depth
     for word, (n, d, tag), _y, px, _py in nodes:
         k = len(word)
@@ -615,7 +613,7 @@ def lift_check(spec: SystemSpec, fp: FundamentalPartition, x: PointLike,
             if edge_target.get((live[k - 1], word[-1])) is None:
                 worst = max(worst, px)
             continue
-        here = state_class[row_of(n, d, tag)]
+        here = class_of_row[row_of(n, d, tag)]
         cls = edge_target.get((live[k - 1], word[-1])) if k else here
         live[k] = cls if cls is not None and cls == here else None
     return Fraction(worst, scale ** depth)

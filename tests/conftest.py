@@ -9,20 +9,62 @@ from typing import Optional
 import pytest
 from hypothesis import settings
 
+from rdsys import systems
 from rdsys.model import (AffineMap, DiscreteMeasure, Edge, InconsistentMerge,
                          Interval, OutOfDomain, PiecewiseConstant, Point,
-                         PointLike, RdsError, SystemSpec, as_point,
-                         cells_from_cuts, format_word)
-from rdsys.partition import (BalancedProduct, ClassInfo, FmsEdge,
-                             FundamentalPartition, PartitionParams,
-                             ProductGraph, SupportSeparation, classify_point,
-                             extract_symbolic_chain, stable_partition)
+                         PointLike, RationalityPredicate, RdsError,
+                         RefinementBudgetExceeded, SystemSpec, as_point,
+                         cells_from_cuts, format_word, usable_cut)
+from rdsys.partition import (IRRATIONAL_TAG, RATIONAL_TAG, REFINE_CAP,
+                             BalancedProduct, Cell, ClassInfo, FmsEdge,
+                             FundamentalPartition, IntervalPartition,
+                             PartitionParams, ProductGraph, SupportSeparation,
+                             classify_point, extract_symbolic_chain,
+                             stable_partition)
+from rdsys.sysfile import load_system
 from rdsys.systems import triadic_system  # re-exported: the tests import it from here
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
 
 UNIT = Interval(Fraction(0), Fraction(1))
+#: the mixed system of maps x/3 + e/3 whose two rationality edges sit beside
+#: two piecewise edges cut at 1/2: four states, four classes
+MIXED_SPLIT = load_system(systems.bundled_path("mixed_split"))
+
+
+def random_cells(rng: random.Random, one_point: bool = False) -> list:
+    """The cells of [0,1] cut at up to three random rationals, each owned
+    by a random side. With `one_point`, a cut may also fall on 0 or 1, and
+    a point may be cut on both sides, so the grid can hold one-point cells."""
+    n_breaks = rng.randint(0, 3)
+    points = set()
+    while len(points) < n_breaks:
+        den = rng.randint(2, 12)
+        points.add(Fraction(rng.randint(1 - one_point, den - 1 + one_point), den))
+    sides = ([1], [-1], [1, -1]) if one_point else ([1], [-1])
+    return cells_from_cuts(UNIT, [(t, side) for t in sorted(points)
+                                  for side in rng.choice(sides)])
+
+
+def random_weights(rng: random.Random, n: int, total: Fraction = Fraction(1)) -> list:
+    """n random nonnegative rationals, not all zero, that sum to total."""
+    while True:
+        weights = [rng.randint(0, 4) for _ in range(n)]
+        if sum(weights) > 0:
+            return [total * Fraction(w, sum(weights)) for w in weights]
+
+
+def random_map(rng: random.Random) -> AffineMap:
+    """A random affine map of [0,1] into itself, slope 0 included."""
+    sden = rng.randint(1, 6)
+    slope = Fraction(rng.randint(-sden, sden), sden)
+    if slope >= 0:
+        c_lo, c_hi = Fraction(0), 1 - slope
+    else:
+        c_lo, c_hi = -slope, Fraction(1)
+    cden = rng.randint(1, 12)
+    return AffineMap(slope, c_lo + (c_hi - c_lo) * Fraction(rng.randint(0, cden), cden))
 
 
 def random_system(rng: random.Random) -> SystemSpec:
@@ -32,37 +74,115 @@ def random_system(rng: random.Random) -> SystemSpec:
     slopes and intercepts are chosen to keep every image inside [0,1].
     """
     n_edges = rng.choice([2, 2, 2, 3])
-    n_breaks = rng.randint(0, 3)
-    points = set()
-    while len(points) < n_breaks:
-        den = rng.randint(2, 12)
-        points.add(Fraction(rng.randint(1, den - 1), den))
-    cuts = [(t, rng.choice([1, -1])) for t in sorted(points)]
-    cells = cells_from_cuts(UNIT, cuts)
+    cells = random_cells(rng)
+    per_cell = [random_weights(rng, n_edges) for _ in cells]
+    return SystemSpec(domain=UNIT, edges=tuple(
+        Edge(str(e), random_map(rng),
+             PiecewiseConstant(tuple((cell, row[e]) for cell, row in zip(cells, per_cell))))
+        for e in range(n_edges)))
 
-    per_cell = []
-    for _ in cells:
-        while True:
-            weights = [rng.randint(0, 4) for _ in range(n_edges)]
-            if sum(weights) > 0:
-                break
-        total = sum(weights)
-        per_cell.append([Fraction(w, total) for w in weights])
 
-    edges = []
-    for e in range(n_edges):
-        pieces = tuple((cells[k], per_cell[k][e]) for k in range(len(cells)))
-        sden = rng.randint(1, 6)
-        slope = Fraction(rng.randint(-sden, sden), sden)
-        if slope >= 0:
-            c_lo, c_hi = Fraction(0), 1 - slope
-        else:
-            c_lo, c_hi = -slope, Fraction(1)
-        cden = rng.randint(1, 12)
-        intercept = c_lo + (c_hi - c_lo) * Fraction(rng.randint(0, cden), cden)
-        edges.append(Edge(str(e), AffineMap(slope, intercept),
-                          PiecewiseConstant(pieces)))
-    return SystemSpec(domain=UNIT, edges=tuple(edges))
+def mixed_system(rng: random.Random) -> SystemSpec:
+    """A random valid system on [0,1] mixing piecewise edges with edges
+    that read the rationality tag.
+
+    The piecewise edges share one cell grid and sum to a constant c on
+    every cell; the predicate edges sum to 1 - c on rationals and on
+    irrationals, so unit sums are exact by construction. Maps are drawn
+    as in `random_system`.
+    """
+    n_piecewise, n_predicate = rng.randint(1, 2), rng.randint(1, 2)
+    c = Fraction(rng.randint(1, 3), 4)
+    cells = random_cells(rng, one_point=True)
+    per_cell = [random_weights(rng, n_piecewise, c) for _ in cells]
+    probs = [PiecewiseConstant(tuple((cell, row[e]) for cell, row in zip(cells, per_cell)))
+             for e in range(n_piecewise)]
+    probs += map(RationalityPredicate, random_weights(rng, n_predicate, 1 - c),
+                 random_weights(rng, n_predicate, 1 - c))
+    rng.shuffle(probs)
+    return SystemSpec(domain=UNIT, edges=tuple(
+        Edge(str(e), random_map(rng), prob) for e, prob in enumerate(probs)))
+
+
+# ---------------------------------------------------------------------------
+# The two routes of `partition.stable_partition` before it crossed the
+# interval cells with the tag, kept verbatim with their refusals as the
+# oracle: the breakpoint closure refused any system with a rationality edge,
+# and the tag-only partition any piecewise edge that is not constant. Its
+# call of `PiecewiseConstant.constant_value`, since deleted, is written out
+# as the body's test.
+
+class NotPiecewiseConstant(RdsError):
+    pass
+
+
+def refine_markov_partition(spec: SystemSpec, cap: int = REFINE_CAP) -> IntervalPartition:
+    """Breakpoint closure of a piecewise-constant system.
+
+    Starting from the probability discontinuities, repeatedly pulls every
+    cut back through every invertible map until closed, so each map sends
+    each resulting cell into exactly one cell. A cut (t, +1) separates
+    points <= t from points > t, and (t, -1) separates < t from >= t;
+    increasing maps preserve the side, decreasing maps flip it.
+    """
+    if spec.has_rationality_edges:
+        raise NotPiecewiseConstant(
+            "refinement needs piecewise-constant probabilities only")
+    domain = spec.domain
+    cuts: dict = {}
+    worklist = []
+    for e in spec.edges:
+        for t, side in e.prob.boundary_cuts(domain):
+            if (t, side) not in cuts:
+                cuts[(t, side)] = "probability"
+                worklist.append((t, side))
+    points = {t for t, _side in cuts}
+    while worklist:
+        t, side = worklist.pop()
+        for e in spec.edges:
+            if e.map.slope == 0:
+                continue
+            x = e.map.preimage_value(t)
+            new_side = side if e.map.slope > 0 else -side
+            if not usable_cut(domain, x, new_side):
+                continue
+            if (x, new_side) not in cuts:
+                cuts[(x, new_side)] = "preimage"
+                worklist.append((x, new_side))
+                points.add(x)
+                if len(points) > cap:
+                    raise RefinementBudgetExceeded(
+                        f"no finite stable partition found at cap {cap} breakpoints")
+
+    cells = [Cell(iv) for iv in cells_from_cuts(domain, cuts.keys())]
+    return IntervalPartition(domain=domain, cells=cells, provenance=dict(cuts),
+                             tagged=False)
+
+
+def tagged_partition(spec: SystemSpec) -> IntervalPartition:
+    """The rational/irrational two-cell partition for predicate systems.
+
+    Valid because rational map coefficients preserve rationality (a zero
+    slope collapses to the rational intercept). Any piecewise edge must be
+    globally constant, else no tag-only partition can make probabilities
+    constant per cell.
+    """
+    for e in spec.edges:
+        if isinstance(e.prob, PiecewiseConstant) and len({v for _, v in e.prob.pieces}) != 1:
+            raise NotPiecewiseConstant(
+                f"edge {e.edge_id} mixes interval pieces with rationality "
+                "predicates; no tag partition applies")
+    dom = Interval(spec.domain.lo, spec.domain.hi, spec.domain.own_lo, spec.domain.own_hi)
+    cells = [Cell(dom, RATIONAL_TAG), Cell(dom, IRRATIONAL_TAG)]
+    return IntervalPartition(domain=spec.domain, cells=cells, provenance={},
+                             tagged=True)
+
+
+def two_route_partition(spec: SystemSpec, cap: int = REFINE_CAP) -> IntervalPartition:
+    # was `stable_partition`
+    if spec.has_rationality_edges:
+        return tagged_partition(spec)
+    return refine_markov_partition(spec, cap)
 
 
 class PartitionLookup:

@@ -186,6 +186,37 @@ def test_rate_tagged_start_is_invalid_input(split_file, capsys):
                 "20", "--steps", "2", "--burn", "2"]) == 0
 
 
+def test_mixed_system_runs(capsys):
+    """Piecewise edges beside edges that read the tag: the partition is
+    the interval cells crossed with the tag."""
+    path = str(systems.bundled_path("mixed_split"))
+    assert run(["partition", path]) == 0
+    out = capsys.readouterr().out
+    assert "lift defect (depth 6, 5 points): 0" in out
+    assert "operator agreement defect (20 points, f in {1,x,x^2}): 0" in out
+    assert run(["graph", path]) == 0
+    assert "terminal components: [[0, 2], [1, 3]]" in capsys.readouterr().out
+    assert run(["simulate", path, "--x0", "irr:1/5", "--steps", "200", "--seed", "7"]) == 0
+    assert "class 1 [0,1/2] irrational" in capsys.readouterr().out
+
+
+def test_partition_spot_point_at_a_one_point_cell(tmp_path, capsys):
+    # {1/2} is a cell and 1/2 a tagged spot point: it is checked as rational
+    path = tmp_path / "half.txt"
+    path.write_text(
+        "[domain]\nlo = 0\nhi = 1\n\n"
+        "[edge 0]\nslope = 1/2\nintercept = 1/4\nprob = piecewise "
+        "(0,1/2,true,false,1/2);(1/2,1/2,true,true,1/4);(1/2,1,false,true,1/2)\n\n"
+        "[edge 1]\nslope = 1/2\nintercept = 0\nprob = piecewise "
+        "(0,1/2,true,false,0);(1/2,1/2,true,true,1/4);(1/2,1,false,true,0)\n\n"
+        "[edge 2]\nslope = 1/3\nintercept = 0\n"
+        "prob = rationality q_value=1/2 irr_value=1/2\n", encoding="utf-8")
+    assert run(["partition", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "state 2: {1/2} rational" in out and "{1/2} irrational" not in out
+    assert "lift defect (depth 6, 5 points): 0" in out
+
+
 class TestGraph:
     def test_step_graph(self, step_file, tmp_path, capsys):
         outdir = tmp_path / "g"

@@ -7,22 +7,23 @@ import numpy as np
 import pytest
 
 import conftest as oracle
-from conftest import random_system, triadic_system
-from rdsys import partition, systems
+from conftest import MIXED_SPLIT, mixed_system, random_system, triadic_system
+from rdsys import graph, partition, systems
 from rdsys.cli import run
-from rdsys.dynamics import class_frequencies, simulate
+from rdsys.dynamics import Polynomial, class_frequencies, simulate
 from rdsys.measures import cylinder_measure
 from rdsys.model import (AffineMap, Edge, InconsistentMerge, Interval,
-                         NotPiecewiseConstant, OutOfDomain, PiecewiseConstant,
-                         Point, RefinementBudgetExceeded, SystemSpec)
-from rdsys.partition import (BalancedProduct, Cell, LabeledChain,
+                         OutOfDomain, PiecewiseConstant, Point,
+                         RationalityPredicate, RefinementBudgetExceeded,
+                         SystemSpec)
+from rdsys.partition import (REFINE_CAP, BalancedProduct, Cell, LabeledChain,
                              PartitionParams, ProductGraph, SupportSeparation,
                              UnbalancedProduct, adjoint_discrepancy,
                              classify_point, extract_symbolic_chain,
                              fundamental_partition, lift_check,
                              partition_report, refine_markov_partition,
-                             stable_partition, tagged_partition,
-                             verify_product_certificates, verify_separations)
+                             stable_partition, verify_product_certificates,
+                             verify_separations)
 
 F = Fraction
 
@@ -89,9 +90,13 @@ class TestRefinement:
         assert origins[F(1, 3)] == "preimage"
         assert origins[F(0)] == "preimage"
 
-    def test_rationality_rejected(self):
-        with pytest.raises(NotPiecewiseConstant):
-            refine_markov_partition(SPLIT)
+    def test_mixed_system_cells(self):
+        # the interval cells of the piecewise edges, crossed with the tag
+        part = refine_markov_partition(MIXED_SPLIT)
+        assert [str(c) for c in part.cells] == [
+            "[0,1/2] rational", "[0,1/2] irrational",
+            "(1/2,1] rational", "(1/2,1] irrational"]
+        assert part.breakpoints == [F(1, 2)]
 
     def test_cap_exceeded(self):
         # slope 2/3 doubles breakpoint denominators on preimage, so the
@@ -129,21 +134,109 @@ class TestRefinement:
 
 class TestTaggedPartition:
     def test_split_partition(self):
-        part = tagged_partition(SPLIT)
+        part = stable_partition(SPLIT)
         assert [c.tag for c in part.cells] == ["rational", "irrational"]
 
-    def test_mixed_nonconstant_rejected(self):
-        from rdsys.model import RationalityPredicate
-        spec = SystemSpec(domain=Interval(F(0), F(1)), edges=(
-            Edge("0", AffineMap(F(1, 2), F(0)),
-                 PiecewiseConstant((
-                     (Interval(F(0), F(1, 2), True, True), F(1, 4)),
-                     (Interval(F(1, 2), F(1), False, True), F(1, 2))))),
-            Edge("1", AffineMap(F(1, 2), F(1, 2)),
-                 RationalityPredicate(F(3, 4), F(2, 3))),
-        ))
-        with pytest.raises(NotPiecewiseConstant):
-            stable_partition(spec)
+    def test_mixed_system_classes(self):
+        fp = fundamental_partition(MIXED_SPLIT)
+        assert fp.chain.n_states == 4 and fp.class_count() == 4
+        assert graph.stationary_distribution(fp.chain).terminal == [[0, 2], [1, 3]]
+        # 1/5 and 4/5 are separated by a word, and so are rational and irrational 1/5
+        assert isinstance(partition.pair_certificate(MIXED_SPLIT, "1/5", "4/5"),
+                          SupportSeparation)
+        assert isinstance(partition.pair_certificate(MIXED_SPLIT, "1/5", "irr:1/5"),
+                          SupportSeparation)
+
+
+def one_point_system():
+    """x/3 (1/2 on {0}, 1/4 above), x/3 + 2/3 (0 on {0}, 1/4 above) and x/2
+    (1/2 on rationals and on irrationals): {0} is a cell that holds no
+    irrational point."""
+    zero, rest = Interval(F(0), F(0)), Interval(F(0), F(1), False, True)
+    return SystemSpec(domain=Interval(F(0), F(1)), edges=(
+        Edge("0", AffineMap(F(1, 3), F(0)),
+             PiecewiseConstant(((zero, F(1, 2)), (rest, F(1, 4))))),
+        Edge("1", AffineMap(F(1, 3), F(2, 3)),
+             PiecewiseConstant(((zero, F(0)), (rest, F(1, 4))))),
+        Edge("2", AffineMap(F(1, 2), F(0)), RationalityPredicate(F(1, 2), F(1, 2)))))
+
+
+class TestOneRoute:
+    """The interval cells crossed with the tag, against the two routes it
+    replaced (`conftest.two_route_partition`), and on systems that mix
+    piecewise edges with edges that read the tag."""
+
+    def test_matches_the_two_routes(self):
+        rng = random.Random(0x0E0E)
+        specs = [(build(), REFINE_CAP) for build in systems.BUILDERS.values()]
+        specs += [(triadic_system(m, random.Random(m), zeros), 2000)
+                  for m in (3, 4) for zeros in (False, True)]
+        specs += [(random_system(rng), 24) for _ in range(200)]
+        refined = exceeded = 0
+        for spec, cap in specs:
+            try:
+                old = oracle.two_route_partition(spec, cap)
+            except RefinementBudgetExceeded:
+                with pytest.raises(RefinementBudgetExceeded):
+                    stable_partition(spec, cap)
+                exceeded += 1
+                continue
+            new = stable_partition(spec, cap)
+            assert new.cells == old.cells and new.tagged == old.tagged
+            assert list(new.provenance.items()) == list(old.provenance.items())
+            refined += 1
+        assert refined >= 150 and exceeded >= 10, (refined, exceeded)
+
+    def test_mixed_systems(self):
+        """Seeded mixed systems: every certificate re-checks, the exact
+        stationary solve re-checks its equations, the lift and one-step
+        operator defects are 0 at tagged and untagged points, and no state
+        is the empty irrational copy of a one-point cell, whose value
+        refuses a tagged point."""
+        fs = [Polynomial((F(0), F(1))), lambda q: F(2) if q.irrational_tag else q.value]
+        refined = one_point = 0
+        for seed in range(150):
+            spec = mixed_system(random.Random(seed))
+            try:
+                fp = fundamental_partition(spec, PartitionParams(refinement_cap=64))
+            except RefinementBudgetExceeded:
+                continue
+            refined += 1
+            assert verify_separations(fp, spec) == []
+            assert verify_product_certificates(fp.chain, fp) == []
+            graph.stationary_distribution(fp.chain)   # raises on a nonzero residual
+            cells = fp.chain.cells
+            assert not any(c.interval.is_degenerate and c.tag == "irrational" for c in cells)
+            singles = {c.interval.lo for c in cells if c.interval.is_degenerate}
+            one_point += bool(singles)
+            values = set(fp.partition.breakpoints) | {F(k, 6) for k in range(7)}
+            for p in [Point(v, tag) for v in sorted(values) for tag in (False, True)]:
+                if p.irrational_tag and p.value in singles:
+                    with pytest.raises(OutOfDomain):
+                        classify_point(fp, p)
+                    with pytest.raises(OutOfDomain):
+                        lift_check(spec, fp, p, 2)
+                    continue
+                assert lift_check(spec, fp, p, 3) == 0, (seed, p)
+                for f in fs:
+                    assert adjoint_discrepancy(spec, fp, p, f) == 0, (seed, p)
+        assert refined >= 120 and one_point >= 50, (refined, one_point)
+
+    def test_one_point_cell_has_no_irrational_copy(self):
+        spec = one_point_system()
+        fp = fundamental_partition(spec)
+        assert [str(c) for c in fp.chain.cells] == [
+            "{0} rational", "(0,1] rational", "(0,1] irrational"]
+        assert graph.stationary_distribution(fp.chain).terminal == [[0], [1], [2]]
+        assert fp.partition.states == [0, -1, 1, 2]
+        for check in (lambda: classify_point(fp, "irr:0"),
+                      lambda: lift_check(spec, fp, "irr:0", 2),
+                      lambda: class_frequencies(simulate(spec, "irr:0", 10, seed=1), fp)):
+            with pytest.raises(OutOfDomain):
+                check()
+        assert lift_check(spec, fp, "irr:1/2", 4) == 0
+        freqs = class_frequencies(simulate(spec, "irr:1/2", 10, seed=1), fp)
+        assert freqs[fp.state_class[2]] == 1
 
 
 class TestChainExtraction:
@@ -180,7 +273,7 @@ class TestChainExtraction:
         assert chain.prob[(1, "1")] == F(2, 3) and chain.target[(1, "1")] == 1
 
     def test_split_chain_self_loops(self):
-        chain = extract_symbolic_chain(SPLIT, tagged_partition(SPLIT))
+        chain = extract_symbolic_chain(SPLIT, stable_partition(SPLIT))
         assert chain.target == {(0, "0"): 0, (0, "1"): 0, (1, "0"): 1, (1, "1"): 1}
         assert chain.prob[(0, "0")] == F(1, 4) and chain.prob[(1, "0")] == F(1, 3)
 
@@ -286,7 +379,7 @@ class TestCoupling:
 
 class TestProductCertificates:
     def test_split_unbalanced(self):
-        chain = extract_symbolic_chain(SPLIT, tagged_partition(SPLIT))
+        chain = extract_symbolic_chain(SPLIT, stable_partition(SPLIT))
         cert = ProductGraph(chain).certificate(0, 1)
         assert cert == UnbalancedProduct(word=(), vertex=(0, 1), label="0",
                                          p_i=F(1, 4), p_j=F(1, 3))
@@ -805,7 +898,7 @@ class TestClassify:
             part.cell_of_point(Point(F(2)))
 
     def test_tagged_lookup(self):
-        part = tagged_partition(SPLIT)
+        part = stable_partition(SPLIT)
         assert part.cell_of_point(Point(F(1, 3))) == 0
         assert part.cell_of_point(Point(F(1, 3), True)) == 1
         assert part.cuts.row_of_interval(Interval(F(1, 4), F(1, 2)), True) == 1
