@@ -17,7 +17,10 @@ weights and moments `graph` solves; it is written to
 OUTDIR/triadic5_1to4/system.txt and run through `graph`. The shipped
 `mixed_split` system, whose piecewise edges sit beside edges that read the
 rationality tag, is run through `partition`, `graph`, `simulate` from an
-irrational start and `xi` on a separated pair:
+irrational start and `xi` on a separated pair. A one-cell system of two
+identity maps (probabilities 1/3 and 2/3), whose moment system is
+singular, is written to OUTDIR/identity_maps/system.txt and run through
+`graph`, which exits 3 with the solver's `SingularSystem`:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -66,6 +69,22 @@ MIXED_SYSTEM = "mixed_split"
 
 # generated system -> (m for 3^m + 1 states, the lowest of its four seeded weights)
 GENERATED = {"triadic4_0to3": (4, 0), "triadic4_1to4": (4, 1), "triadic5_1to4": (5, 1)}
+# every point is fixed, so the invariance of x * 1_[0,1] says nothing: the
+# moment system's one row empties
+IDENTITY_MAPS = """[domain]
+lo = 0
+hi = 1
+
+[edge 0]
+slope = 1
+intercept = 0
+prob = piecewise (0,1,true,true,1/3)
+
+[edge 1]
+slope = 1
+intercept = 0
+prob = piecewise (0,1,true,true,2/3)
+"""
 
 
 def xi(path: str, x: str, y: str, n_exact: int):
@@ -146,6 +165,11 @@ def main() -> int:
         save_system(systems.triadic_system(m, random.Random(int(SEED)), zeros=low == 0),
                     generated)
         plan.append((name, generated_runs(str(generated), m, low)))
+    identity = root / "identity_maps" / "system.txt"
+    identity.parent.mkdir(parents=True, exist_ok=True)
+    identity.write_text(IDENTITY_MAPS, encoding="utf-8")
+    plan.append(("identity_maps", [("graph", ["graph", str(identity), "--seed", SEED,
+                                              "--json"])]))
     for name, named_runs in plan:
         for run_name, argv in named_runs:
             where = root / name / run_name

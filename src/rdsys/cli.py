@@ -289,7 +289,6 @@ def _cmd_graph(args, spec, out: _Output) -> int:
         out.say("stationary weights (exact):")
         for v in range(chain.n_states):
             out.say(f"  state {v} {chain.cells[v]}: {format_rational(stat.pi[v])}")
-        out.say(f"residual: {format_rational(stat.residual)}")
         out.file("stationary.csv", lambda: "\n".join(
             ["state,pi"] + [f"{v},{format_rational(stat.pi[v])}"
                             for v in range(chain.n_states)]) + "\n")
@@ -297,8 +296,7 @@ def _cmd_graph(args, spec, out: _Output) -> int:
         out.say("per-class first moments (exact, recurrent states):")
         for v, m in sorted(mom.per_class.items()):
             out.say(f"  state {v}: {format_rational(m)}")
-        out.say(f"global mean: {format_rational(mom.global_mean)} "
-                f"(invariance defect {format_rational(mom.identity_residual)})")
+        out.say(f"global mean: {format_rational(mom.global_mean)}")
         tree["pi"] = {v: format_rational(stat.pi[v]) for v in range(chain.n_states)}
         tree["global_mean"] = format_rational(mom.global_mean)
     else:
@@ -317,6 +315,10 @@ def _cmd_graph(args, spec, out: _Output) -> int:
 
 def _cmd_simulate(args, spec, out: _Output) -> int:
     x0 = as_point(args.x0)
+    spec.require_in_domain(x0)
+    # filed before any step: a tagged start at a one-point cell's value has no cell
+    fp = partmod.fundamental_partition(spec)
+    fp.partition.cell_of_point(x0)
     trace = dynamics.simulate(spec, x0, args.steps, args.seed)
     out.say(f"trace: {len(trace)} steps from x0={x0}, seed={trace.seed}, "
             f"exact prefix {trace.exact_steps} steps")
@@ -329,7 +331,6 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
         out.say(f"ergodic average of {f}: {shown}")
         tree["averages"][str(f)] = shown
 
-    fp = partmod.fundamental_partition(spec)
     freqs = dynamics.class_frequencies(trace, fp)
     out.say("class visit frequencies:")
     for info in fp.classes:

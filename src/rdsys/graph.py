@@ -14,8 +14,9 @@ The chain's digraph records which cells can follow which under
 positive-probability edges. Stationary weights and first moments are one
 routine's work, `_solve_closed`: it builds the linear equations of one
 closed set of states from the chain's arcs, solves them exactly over the
-rationals by p-adic lifting (`solve_exact`), and checks every equation
-again from the arcs. The weights are solved on each terminal strongly
+rationals by p-adic lifting modulo a Mersenne prime (`solve_exact`, which
+also proves a singular system singular), and checks every equation again
+from the arcs. The weights are solved on each terminal strongly
 connected component (transient vertices get weight zero), the moments on
 the one terminal component of a unique stationary law.
 """
@@ -204,8 +205,10 @@ def terminal_components(g: Digraph) -> list:
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-# Dixon's primes: the factorisation is tried modulo the first, then the second
-_PRIMES = (2 ** 127 - 1, 2 ** 521 - 1)
+# Dixon's primes: the Mersenne primes 2^e - 1 from 2^127 - 1 on, 159,098 bits
+# together; the factorisation is tried modulo each in turn
+_PRIMES = tuple(2 ** e - 1 for e in (127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+                                     9689, 9941, 11213, 19937, 21701, 23209, 44497))
 
 
 def solve_exact(rows: list, rhs: list) -> list:
@@ -217,9 +220,10 @@ def solve_exact(rows: list, rhs: list) -> list:
 
     - each row is scaled to integers, and the right-hand side is put over
       one common denominator;
-    - the integer matrix A is factored once modulo the prime p = 2^127 - 1
-      by sparse elimination (`_eliminate`: the sparsest row first, then the
-      column used by the fewest remaining rows);
+    - the integer matrix A is factored once modulo a prime p, the first of
+      the Mersenne primes 2^127 - 1, 2^521 - 1, 2^607 - 1, ... (`_PRIMES`)
+      that factors it, by sparse elimination (`_eliminate`: the sparsest
+      row first, then the column used by the fewest remaining rows);
     - each lift solves A y = r modulo p, updates the integer residual
       exactly to (r - A y) / p, and adds y times the next power of p to the
       p-adic solution;
@@ -230,34 +234,42 @@ def solve_exact(rows: list, rhs: list) -> list:
 
     A factorisation that succeeds modulo p proves det A nonzero, so a
     candidate that passes is the unique solution. The lift bound comes from
-    Hadamard's bound on the determinants of Cramer's rule: with h the sum
-    of the bit lengths of A's squared column norms and of |b|^2, D and
-    every |numerator| are at most 2^(h/2), so after k = ceil((h + 4) / 126)
-    lifts modulo 2^127 - 1, p^k exceeds 2 (2^(h/2) + 1)^2 and the
-    reconstruction succeeds.
+    Hadamard's bound on the determinants of Cramer's rule: with c the sum
+    of the bit lengths of A's squared column norms, |det A| < 2^(c/2); with
+    h = c plus the bit length of |b|^2, D and every |numerator| are at most
+    2^(h/2), so after k = ceil((h + 4) / (e - 1)) lifts modulo 2^e - 1,
+    p^k exceeds 2 (2^(h/2) + 1)^2 and the reconstruction succeeds.
 
-    A zero pivot modulo p proves nothing: det A may be a nonzero multiple
-    of p. The factorisation is then retried once modulo 2^521 - 1, and if
-    that also fails, the same elimination in `Fraction` arithmetic decides
-    (`_solve_rational`); it raises `SingularSystem` when a row empties, as
-    every singular system does. The certificate of the stationary weights
-    and moments stays `_solve_closed`'s separate re-check of every equation
+    A row that empties modulo p proves that p divides det A: elimination
+    only adds multiples of rows to other rows, so the matrix is singular
+    modulo p. Distinct primes that all divide det A divide it together, so
+    once the product of the primes that failed reaches 2^(c/2) > |det A|,
+    det A = 0 and `SingularSystem` is raised with the emptied row. Until
+    then the next prime is tried; a system whose bound outgrows the whole
+    table raises `RdsError`. The certificate of the stationary weights and
+    moments stays `_solve_closed`'s separate re-check of every equation
     from the chain.
     """
     matrix, b, den = _integer_system(rows, rhs)
+    norms = [0] * len(matrix)
+    for row in matrix:
+        for c, a in row.items():
+            norms[c] += a * a
+    bits = sum(v.bit_length() for v in norms)     # |det A| < 2^(bits / 2)
+    failed = 1
     for p in _PRIMES:
         try:
             steps = _eliminate([{c: v % p for c, v in row.items() if v % p}
                                 for row in matrix], p)
         except SingularSystem:
+            failed *= p
+            if failed * failed >= 1 << bits:
+                raise
             continue
-        num, d = _lift(matrix, b, steps, p)
+        num, d = _lift(matrix, b, steps, p, bits)
         return [Fraction(v, d * den) for v in num]
-    return _solve_rational(rows, rhs)
-
-
-def _row_items(row):
-    return row.items() if isinstance(row, Mapping) else enumerate(row)
+    raise RdsError("no prime of the table factors the system, and their product "
+                   f"is below its determinant bound 2^({bits}/2)")
 
 
 def _integer_system(rows: list, rhs: list) -> tuple:
@@ -266,7 +278,8 @@ def _integer_system(rows: list, rhs: list) -> tuple:
     integer system's solution is den times the rational one."""
     matrix, scaled = [], []
     for row, v in zip(rows, rhs):
-        row = {c: _ratio(a) for c, a in _row_items(row) if a}
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        row = {c: _ratio(a) for c, a in items if a}
         scale = math.lcm(*(d for _n, d in row.values()))
         matrix.append({c: n * (scale // d) for c, (n, d) in row.items()})
         n, d = _ratio(v)
@@ -281,10 +294,9 @@ def _ratio(v) -> tuple:
     return (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
 
 
-def _eliminate(active: list, p: int = 0) -> list:
+def _eliminate(active: list, p: int) -> list:
     """Sparse Gaussian elimination of the rows `active` ({column: value}, no
-    zeros; consumed) over the integers modulo the prime p, or over the
-    rationals when p is 0.
+    zeros; consumed) over the integers modulo the prime p.
 
     Each step pivots on the sparsest remaining row (the lowest index on a
     tie) and, within it, on the column that appears in the fewest remaining
@@ -315,17 +327,13 @@ def _eliminate(active: list, p: int = 0) -> list:
         for c in row:
             where[c].discard(r)
         pivot = row.pop(col)
-        inv = pow(pivot, -1, p) if p else 1 / pivot
+        inv = pow(pivot, -1, p)
         rest = list(row.items())
         for other in where[col]:
             orow = active[other]
-            factor = orow.pop(col) * inv
-            if p:
-                factor %= p
+            factor = orow.pop(col) * inv % p
             for c, v in rest:
-                value = orow.get(c, 0) - factor * v
-                if p:
-                    value %= p
+                value = (orow.get(c, 0) - factor * v) % p
                 if value:
                     if c not in orow:
                         where[c].add(other)
@@ -340,38 +348,25 @@ def _eliminate(active: list, p: int = 0) -> list:
     return steps
 
 
-def _substitute(steps: list, b: list, p: int = 0) -> list:
+def _substitute(steps: list, b: list, p: int) -> list:
     """Solve the eliminated system for the right-hand side b (consumed):
-    the row updates of `steps` in order, then back-substitution, modulo p
-    or, when p is 0, over the rationals."""
+    the row updates of `steps` in order, then back-substitution, modulo p."""
     for r, _col, _inv, _cols, _values, srcs, factors in steps:
-        v = b[r] - sum(map(mul, factors, map(b.__getitem__, srcs)))
-        b[r] = v % p if p else v
+        b[r] = (b[r] - sum(map(mul, factors, map(b.__getitem__, srcs)))) % p
     x = [0] * len(b)
     for r, col, inv, cols, values, _srcs, _factors in reversed(steps):
-        v = (b[r] - sum(map(mul, values, map(x.__getitem__, cols)))) * inv
-        x[col] = v % p if p else v
+        x[col] = (b[r] - sum(map(mul, values, map(x.__getitem__, cols)))) * inv % p
     return x
 
 
-def _solve_rational(rows: list, rhs: list) -> list:
-    """`solve_exact`'s sparse elimination in `Fraction` arithmetic, which
-    decides the systems that no prime factors."""
-    active = [{c: Fraction(v) for c, v in _row_items(row) if v} for row in rows]
-    return _substitute(_eliminate(active), [Fraction(v) for v in rhs])
-
-
-def _lift(matrix: list, b: list, steps: list, p: int) -> tuple:
+def _lift(matrix: list, b: list, steps: list, p: int, bits: int) -> tuple:
     """Dixon's lifting for the integer system matrix x = b, whose
-    factorisation modulo p is `steps`: (numerators, common denominator)."""
+    factorisation modulo p is `steps` and whose squared column norms have
+    `bits` bit lengths in all: (numerators, common denominator)."""
     rows = [(tuple(row), tuple(row.values())) for row in matrix]
-    # Hadamard: by columns, |det A| and every |det A_i| of Cramer's rule are
-    # at most 2^(bits / 2)
-    norms = [0] * len(rows)
-    for row in matrix:
-        for c, a in row.items():
-            norms[c] += a * a
-    bits = sum(v.bit_length() for v in norms) + sum(v * v for v in b).bit_length()
+    # Hadamard: by columns, with b's, |det A| and every |det A_i| of
+    # Cramer's rule are at most 2^(bits / 2)
+    bits += sum(v * v for v in b).bit_length()
     lifts = -(-(bits + 4) // (p.bit_length() - 1))
 
     x, modulus, residual = [0] * len(rows), 1, b
@@ -465,7 +460,6 @@ def _solve_closed(chain, states: list, coef=None) -> dict:
 class StationaryResult:
     pi: Optional[dict]          # vertex -> Fraction (None when non-unique)
     method: str                 # always "exact_solve"
-    residual: Fraction          # max |pi A - pi| entry: always 0 (else the solve raises)
     terminal: list              # terminal components
     unique: bool
     component_pis: list         # one pi dict per terminal component
@@ -505,7 +499,7 @@ def stationary_distribution(chain, *, exact_max_states: int = 128) -> Stationary
 
     unique = len(terms) == 1
     return StationaryResult(pi=component_pis[0] if unique else None,
-                            method="exact_solve", residual=Fraction(0),
+                            method="exact_solve",
                             terminal=terms, unique=unique,
                             component_pis=component_pis)
 
@@ -530,7 +524,6 @@ def stationary_from_matrix(rows: list) -> StationaryResult:
 class MomentResult:
     per_class: dict      # vertex -> Fraction conditional mean (recurrent only)
     global_mean: Fraction
-    identity_residual: Fraction  # largest invariance defect: always 0 (else the solve raises)
 
 
 def exact_first_moment(spec, chain, stationary: StationaryResult) -> MomentResult:
@@ -558,8 +551,7 @@ def exact_first_moment(spec, chain, stationary: StationaryResult) -> MomentResul
         if not (iv.lo <= mean <= iv.hi):
             raise SingularSystem(
                 f"moment {format_rational(mean)} escapes cell hull {iv}")
-    return MomentResult(per_class=per_class, global_mean=sum(mass.values(), Fraction(0)),
-                        identity_residual=Fraction(0))
+    return MomentResult(per_class=per_class, global_mean=sum(mass.values(), Fraction(0)))
 
 
 def eigenvalue_moduli(chain) -> list:

@@ -1,8 +1,11 @@
+import heapq
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 from typing import Optional
 
@@ -13,8 +16,8 @@ from rdsys import systems
 from rdsys.model import (AffineMap, DiscreteMeasure, Edge, InconsistentMerge,
                          Interval, OutOfDomain, PiecewiseConstant, Point,
                          PointLike, RationalityPredicate, RdsError,
-                         RefinementBudgetExceeded, SystemSpec, as_point,
-                         cells_from_cuts, format_word, usable_cut)
+                         RefinementBudgetExceeded, SingularSystem, SystemSpec,
+                         as_point, cells_from_cuts, format_word, usable_cut)
 from rdsys.partition import (IRRATIONAL_TAG, RATIONAL_TAG, REFINE_CAP,
                              BalancedProduct, Cell, ClassInfo, FmsEdge,
                              FundamentalPartition, IntervalPartition,
@@ -507,6 +510,96 @@ def adjoint_discrepancy(spec: SystemSpec, fp: FundamentalPartition,
             continue
         reduced = reduced + pe * f(e.map.apply_point(p))
     return abs(reduced - markov_operator(spec, f, p))
+
+
+# ---------------------------------------------------------------------------
+# The sparse elimination of `graph.solve_exact` before primes alone decided
+# every system, kept verbatim as the oracle: the same pivots over the
+# rationals when p is 0, or modulo the prime p.
+
+def row_items(row):
+    return row.items() if isinstance(row, Mapping) else enumerate(row)
+
+
+def eliminate(active: list, p: int = 0) -> list:
+    """Sparse Gaussian elimination of the rows `active` ({column: value}, no
+    zeros; consumed) over the integers modulo the prime p, or over the
+    rationals when p is 0.
+
+    Each step pivots on the sparsest remaining row (the lowest index on a
+    tie) and, within it, on the column that appears in the fewest remaining
+    rows (Markowitz-style), which keeps the fill-in of the chain systems
+    small. Returns the steps (row, column, inverse pivot, the row's other
+    columns and their values, the earlier pivot rows that updated the row
+    and their factors) for `substitute`; raises `SingularSystem` when a
+    row empties.
+    """
+    where = [set() for _ in active]     # column -> remaining rows using it
+    sources = [([], []) for _ in active]    # row -> pivot rows and factors applied to it
+    for r, row in enumerate(active):
+        for c in row:
+            where[c].add(r)
+    queue = [(len(row), r) for r, row in enumerate(active)]     # stale entries skipped
+    heapq.heapify(queue)
+
+    steps = []
+    while queue:
+        size, r = heapq.heappop(queue)
+        row = active[r]
+        if row is None or len(row) != size:
+            continue
+        if not row:
+            raise SingularSystem(f"singular system: row {r} empties")
+        active[r] = None
+        col = min(row, key=lambda c: (len(where[c]), c))
+        for c in row:
+            where[c].discard(r)
+        pivot = row.pop(col)
+        inv = pow(pivot, -1, p) if p else 1 / pivot
+        rest = list(row.items())
+        for other in where[col]:
+            orow = active[other]
+            factor = orow.pop(col) * inv
+            if p:
+                factor %= p
+            for c, v in rest:
+                value = orow.get(c, 0) - factor * v
+                if p:
+                    value %= p
+                if value:
+                    if c not in orow:
+                        where[c].add(other)
+                    orow[c] = value
+                else:
+                    del orow[c]
+                    where[c].discard(other)
+            sources[other][0].append(r)
+            sources[other][1].append(factor)
+            heapq.heappush(queue, (len(orow), other))
+        steps.append((r, col, inv, tuple(row), tuple(row.values()), *sources[r]))
+    return steps
+
+
+def substitute(steps: list, b: list, p: int = 0) -> list:
+    """Solve the eliminated system for the right-hand side b (consumed):
+    the row updates of `steps` in order, then back-substitution, modulo p
+    or, when p is 0, over the rationals."""
+    for r, _col, _inv, _cols, _values, srcs, factors in steps:
+        v = b[r] - sum(map(mul, factors, map(b.__getitem__, srcs)))
+        b[r] = v % p if p else v
+    x = [0] * len(b)
+    for r, col, inv, cols, values, _srcs, _factors in reversed(steps):
+        v = (b[r] - sum(map(mul, values, map(x.__getitem__, cols)))) * inv
+        x[col] = v % p if p else v
+    return x
+
+
+def solve_rational(rows: list, rhs: list) -> list:
+    """The sparse elimination in `Fraction` arithmetic: the solution, or
+    `SingularSystem` when a row empties."""
+    active = [{c: Fraction(v) for c, v in row_items(row) if v} for row in rows]
+    return substitute(eliminate(active), [Fraction(v) for v in rhs])
+
 
 
 @pytest.fixture

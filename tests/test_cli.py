@@ -7,7 +7,8 @@ import pytest
 
 from rdsys import dynamics, systems
 from rdsys.cli import run
-from rdsys.sysfile import load_system
+from rdsys.sysfile import load_system, save_system
+from test_partition import one_point_system
 
 
 @pytest.fixture
@@ -198,6 +199,19 @@ def test_mixed_system_runs(capsys):
     assert "terminal components: [[0, 2], [1, 3]]" in capsys.readouterr().out
     assert run(["simulate", path, "--x0", "irr:1/5", "--steps", "200", "--seed", "7"]) == 0
     assert "class 1 [0,1/2] irrational" in capsys.readouterr().out
+
+
+def test_simulate_files_the_start_before_any_step(tmp_path, monkeypatch, capsys):
+    # {0} is a one-point cell, so irr:0 lies in no cell: refused unsimulated
+    path = tmp_path / "one_point.txt"
+    save_system(one_point_system(), path)
+    monkeypatch.setattr(dynamics, "simulate",
+                        lambda *args, **kwargs: pytest.fail("simulate ran"))
+    assert run(["simulate", str(path), "--x0", "irr:0", "--steps", "100000",
+                "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: point irr:0 not covered by any cell\n"
 
 
 def test_partition_spot_point_at_a_one_point_cell(tmp_path, capsys):

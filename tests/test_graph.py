@@ -132,14 +132,13 @@ class TestStationary:
         res = stationary_from_matrix(matrix_a2(b))
         z = 1 + b + b * b
         assert res.as_vector(range(3)) == [b * b / z, b / z, 1 / z]
-        assert res.residual == 0 and res.method == "exact_solve"
+        assert res.method == "exact_solve"
 
     @pytest.mark.parametrize("b", [F(1, 4), F(1, 3), F(1, 2), F(2, 3)])
     def test_four_state_formula(self, b):
         res = stationary_from_matrix(matrix_a3(b))
         z = 1 + b + b * b + b ** 3
         assert res.as_vector(range(4)) == [b ** 3 / z, b * b / z, b / z, 1 / z]
-        assert res.residual == 0
 
     def test_half_values(self):
         assert stationary_from_matrix(matrix_a2(F(1, 2))).as_vector(range(3)) == \
@@ -184,7 +183,6 @@ class TestMoments:
         mom = exact_first_moment(spec, chain, res)
         assert mom.per_class == {1: F(2, 43), 2: F(6, 43), 3: F(18, 43)}
         assert mom.global_mean == F(2, 7)
-        assert mom.identity_residual == 0
 
     def test_step_mean_scalar_identity(self):
         # independent oracle: m = m/3 + (1/3)(1 - integral of p0)
@@ -253,8 +251,8 @@ class TestClosedSolveChecks:
         # states 2 and 3 carry all the forged weight, but 2 -> 1 leaves them
         spec, chain = self._step()
         pi = {0: F(0), 1: F(0), 2: F(1, 2), 3: F(1, 2)}
-        forged = StationaryResult(pi=pi, method="exact_solve", residual=F(0),
-                                  terminal=[[2, 3]], unique=True, component_pis=[pi])
+        forged = StationaryResult(pi=pi, method="exact_solve", terminal=[[2, 3]],
+                                  unique=True, component_pis=[pi])
         assert forged.terminal[0] == [v for v in range(chain.n_states) if pi[v] > 0]
         with pytest.raises(SingularSystem, match="leaks"):
             exact_first_moment(spec, chain, forged)
@@ -414,7 +412,6 @@ class TestSparseSolverAgainstDenseOracle:
                 seen["several"] += 1
                 continue
             seen["unique"] += 1
-            assert res.residual == 0
             try:
                 expected = dense_moments(spec, chain, res.pi)
             except SingularSystem:
@@ -428,8 +425,19 @@ class TestSparseSolverAgainstDenseOracle:
 
 
 class TestPadicSolver:
-    """`solve_exact` lifts modulo a prime; the kept `Fraction` elimination
-    `graph._solve_rational` and the dense Gauss-Jordan above are its oracles."""
+    """`solve_exact` lifts modulo a Mersenne prime and proves singularity by
+    the primes that lose a pivot; the `Fraction` elimination
+    `conftest.solve_rational` and the dense Gauss-Jordan above are its
+    oracles."""
+
+    @staticmethod
+    def watch_primes(monkeypatch) -> list:
+        """The primes at which `solve_exact` runs a factorisation, in order."""
+        tried = []
+        eliminate = graph._eliminate
+        monkeypatch.setattr(graph, "_eliminate",
+                            lambda active, p: tried.append(p) or eliminate(active, p))
+        return tried
 
     def test_agrees_with_rational_elimination_on_triadic_m5(self, monkeypatch):
         solved = []
@@ -446,23 +454,14 @@ class TestPadicSolver:
                     exact_first_moment(spec, chain, res)
         assert max(len(rows) for rows, _rhs, _x in solved) >= 237
         for rows, rhs, x in solved:
-            assert x == graph._solve_rational(rows, rhs)
+            assert x == oracle.solve_rational(rows, rhs)
 
     def test_small_primes_lose_pivots_but_stay_exact(self, monkeypatch):
-        monkeypatch.setattr(graph, "_PRIMES", (5, 7))
-        lost = []       # the primes at which a factorisation lost a pivot
-        eliminate = graph._eliminate
-
-        def watched(active, p=0):
-            try:
-                return eliminate(active, p)
-            except SingularSystem:
-                lost.append(p)
-                raise
-
-        monkeypatch.setattr(graph, "_eliminate", watched)
+        small = [p for p in range(5, 398) if all(p % q for q in range(2, p))]
+        monkeypatch.setattr(graph, "_PRIMES", tuple(small))
+        tried = self.watch_primes(monkeypatch)
         rng = random.Random(0x5A11)
-        seen = {(): 0, (5,): 0, (5, 7): 0, "singular": 0}
+        seen = {"first prime": 0, "retried": 0, "singular": 0, "singular after several": 0}
         for trial in range(400):
             n = rng.randint(1, 7)
             rows = [[random_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(n)]
@@ -470,16 +469,18 @@ class TestPadicSolver:
             if trial % 5 == 4 and n > 1:
                 rows[0] = [2 * v for v in rows[-1]]
             rhs = [random_rational(rng) for _ in range(n)]
-            lost.clear()
+            tried.clear()
             try:
                 expected = dense_gauss_jordan(rows, rhs)
             except SingularSystem:
-                seen["singular"] += 1
-                with pytest.raises(SingularSystem):
+                with pytest.raises(SingularSystem, match="empties"):
                     solve_exact(rows, rhs)
-                continue
-            assert solve_exact(rows, rhs) == expected
-            seen[tuple(lost)] += 1
+                seen["singular"] += 1
+                seen["singular after several"] += len(tried) > 1
+            else:
+                assert solve_exact(rows, rhs) == expected
+                seen["first prime" if len(tried) == 1 else "retried"] += 1
+            assert tried == small[:len(tried)]
         assert min(seen.values()) >= 10, seen
 
         for spec in [systems.bundled_spec(name) for name in systems.BUILDERS] + [
@@ -490,6 +491,20 @@ class TestPadicSolver:
             if res.unique:
                 assert exact_first_moment(spec, chain, res).per_class == \
                     dense_moments(spec, chain, res.pi)
+
+    def test_singular_40_by_40_system_needs_three_mersenne_primes(self, monkeypatch):
+        # Hadamard's bound is about 2^850 here: two failed primes (648 bits)
+        # prove nothing, a third (1,255 bits) proves the system singular
+        rng = random.Random(0x40)
+        n = 40
+        rows = [[F(rng.randint(-10 ** 6, 10 ** 6), 9) if rng.random() < 0.3 else F(0)
+                 for _ in range(n)] for _ in range(n)]
+        i, j, k = rng.sample(range(n), 3)
+        rows[k] = [u + 2 * w for u, w in zip(rows[i], rows[j])]
+        tried = self.watch_primes(monkeypatch)
+        with pytest.raises(SingularSystem, match="empties"):
+            solve_exact(rows, [F(1)] * n)
+        assert tried == [2 ** 127 - 1, 2 ** 521 - 1, 2 ** 607 - 1]
 
     def test_a_2000_bit_right_hand_side_takes_many_lifts(self, monkeypatch):
         rng = random.Random(0x2000)
@@ -503,7 +518,7 @@ class TestPadicSolver:
         lifts = []
         substitute = graph._substitute
         monkeypatch.setattr(graph, "_substitute",
-                            lambda steps, b, p=0: lifts.append(p) or substitute(steps, b, p))
+                            lambda steps, b, p: lifts.append(p) or substitute(steps, b, p))
         assert solve_exact(rows, rhs) == dense_gauss_jordan(rows, rhs)
         assert len(lifts) >= 2 * 2000 // 127 and set(lifts) == {graph._PRIMES[0]}
 
@@ -513,7 +528,7 @@ def test_triadic_244_states_exact_weights_and_moments():
     chain = extract_symbolic_chain(spec, stable_partition(spec))
     assert chain.n_states == 244
     res = stationary_distribution(chain)
-    assert res.unique and res.method == "exact_solve" and res.residual == 0
+    assert res.unique and res.method == "exact_solve"
     pi = res.pi
     assert all(isinstance(w, Fraction) and w >= 0 for w in pi.values())
     assert sum(pi.values()) == 1
@@ -523,7 +538,6 @@ def test_triadic_244_states_exact_weights_and_moments():
     assert flow == pi
 
     mom = exact_first_moment(spec, chain, res)
-    assert mom.identity_residual == 0
     maps = {e.edge_id: e.map for e in spec.edges}
     mass = {v: F(0) for v in mom.per_class}
     for (s, label), p in chain.prob.items():
