@@ -10,6 +10,7 @@ identical inputs, seed and caps produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -101,7 +102,10 @@ def _add_common(sp, *, seeded: bool) -> None:
                         help="seed (mandatory; no wall-clock default)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` leaves it as it
+    was (an appended option copies its list default before appending)."""
     ap = argparse.ArgumentParser(
         prog="rdsys",
         description="analysis of random dynamical systems on rational intervals")

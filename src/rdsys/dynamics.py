@@ -15,9 +15,19 @@ map as the code-space walker advances them, and the tags as one count of
 leading tagged positions, since a tag once lost never returns. Its
 `labels`, `values` and `tags` are lazy sequence views of these, and
 `ergodic_average`, `class_frequencies` and `write_csv` read the arrays in
-place. Simulating a 10^6-step trace of `step_ninth` (8.6 MiB of arrays)
-raises the peak RSS of a process by 17 MiB, and the two averages over it
-by 3.5 MiB; with lists of Python objects it was 59 and 21.5 MiB.
+place.
+
+The exact prefix is drawn a `CHUNK` of draws at a time and walked one
+step at a time. The float phase is drawn a `BLOCK` at a time and cut into
+`SEGMENT`-step segments that `sampling.VectorPaths` advances together,
+writing straight into the trace arrays; each segment is kept only if it
+starts bit for bit where the sequential orbit stands, and is otherwise
+redone by the scalar loop (see `simulate`), so the trace is the
+sequential one whatever the system. Simulating a 10^6-step trace of
+`step_ninth` raises the peak RSS of a process by 17 MiB: 8.6 MiB of
+arrays, about 3 MiB of the exact prefix's integer pairs and 2.6 MiB for
+its chunk of draws as Python ints. The two averages over it raise the
+peak by 3.2 MiB more.
 """
 
 from __future__ import annotations
@@ -95,13 +105,19 @@ def parse_test_function(text: str) -> TestFunction:
 # ---------------------------------------------------------------------------
 # traces
 
-CHUNK = 1 << 16   # draws per generator call; positions per pass over a trace
+CHUNK = 1 << 16      # draws per generator call of the exact prefix; positions per pass
+VIEW_BLOCK = 1 << 12  # elements a view makes at a time when iterated
+BLOCK = 1 << 18      # draws per generator call of the float phase
+SEGMENT = 1 << 10    # steps of one lockstep segment of a float block
+WARM_UP = 64         # steps a segment runs from its guess before its first index
+MIN_LANES = 32       # segments a float block needs to run in lockstep: below it
+                     # the scalar loop is faster (one lockstep step costs ~30 scalar ones)
 
 
 class _Column(Sequence):
     """A read-only view of one column of a `Trace` over a range of its
     indexes. Slicing gives another view and copies nothing; elements are
-    made when read, a chunk at a time when iterated. Views compare with
+    made when read, `VIEW_BLOCK` at a time when iterated. Views compare with
     `==` against any sequence, views included, element by element."""
 
     __slots__ = ("trace", "_range")
@@ -125,7 +141,8 @@ class _Column(Sequence):
         if r.step != 1:
             return (self._read(k, k + 1)[0] for k in r)
         return itertools.chain.from_iterable(
-            self._read(lo, min(lo + CHUNK, r.stop)) for lo in range(r.start, r.stop, CHUNK))
+            self._read(lo, min(lo + VIEW_BLOCK, r.stop))
+            for lo in range(r.start, r.stop, VIEW_BLOCK))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -252,7 +269,23 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
     code-space walker does, to (a*n + c*d, m*d) for the map
     x -> (a*x + c)/m, and filed by one exact bisection on the cuts. When
     d passes the bit cap the pair is reduced by its gcd, and the position
-    turns float if the reduced denominator still passes it."""
+    turns float if the reduced denominator still passes it.
+
+    The float phase runs in blocks of at most `BLOCK` draws, each cut into
+    segments of `SEGMENT` steps that advance in lockstep. Segment j > 0
+    starts from a guess, the block's first state, run `WARM_UP` steps on
+    the draws before it. It is accepted only if its state at its first
+    index, position and tag, equals the true one bit for bit: the last
+    position of segment j - 1, and the tag the accepted edges leave. A
+    step is a function of the state and the draw alone, computed as the
+    scalar loop computes it (one bisection on the same float cut table,
+    the same thresholds, the same two float64 roundings), so an accepted
+    segment is the sequential orbit throughout. A rejected one is
+    recomputed by the scalar loop from the true state, up to the first
+    step whose state equals the segment's. The trace is thus the
+    sequential one bit for bit; contraction, which makes orbits on shared
+    draws meet, decides only how few steps the scalar loop takes. A block
+    of fewer than `MIN_LANES` segments runs the scalar loop throughout."""
     if steps < 0:
         raise RdsError("steps must be >= 0")
     start = as_point(x0)
@@ -260,52 +293,55 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
     tables = sampling.EvalTables(spec)
     rng = sampling.substream(seed, 0)
 
+    def draw(size):
+        return rng.integers(0, sampling.TWO64 - 1, endpoint=True, dtype=np.uint64, size=size)
+
     index = tables.index
     maps = index.maps
-    slopes_f = tables.slopes_f.tolist()
-    intercepts_f = tables.intercepts_f.tolist()
     slope_nonzero = tables.slope_nonzero.tolist()
     selectors = tables.row_selectors
-    cuts = index.cuts
-    row_of, floats, tagged = cuts.row_of, cuts.table.tolist(), cuts.tagged
+    row_of = index.cuts.row_of
 
     edges = np.empty(steps, dtype=np.min_scalar_type(len(maps) - 1))
     positions = np.empty(steps + 1, dtype=np.float64)
     n, d = start.value.numerator, start.value.denominator
     tag = start.irrational_tag
     exact = [(n, d)]
-    x = None   # the float position, once the exact prefix has ended
+    rest = None   # the draws of the chunk left when the exact prefix ends
     done = 0
-    while done < steps:
-        draws = iter(rng.integers(0, sampling.TWO64 - 1, endpoint=True, dtype=np.uint64,
-                                  size=min(CHUNK, steps - done)).tolist())
-        picks, xs = [], []
-        if x is None:
-            for u in draws:
-                idx = bisect_right(selectors[row_of(n, d, tag)], u)
-                picks.append(idx)
-                a, c, m = maps[idx]
-                n, d = a * n + c * d, m * d
-                tag = tag and slope_nonzero[idx]
-                if d.bit_length() > bit_cap:
-                    g = math.gcd(n, d)
-                    n, d = n // g, d // g
-                    if d.bit_length() > bit_cap:
-                        x = n / d
-                        xs.append(x)
-                        break
-                exact.append((n, d))
-        for u in draws:   # what the exact loop left of the chunk
-            pos = bisect_right(floats, x)
-            idx = bisect_right(selectors[pos * 2 + tag if tagged else pos], u)
+    while rest is None and done < steps:
+        draws = draw(min(CHUNK, steps - done))
+        picks = []
+        for u in draws.tolist():
+            idx = bisect_right(selectors[row_of(n, d, tag)], u)
             picks.append(idx)
-            x = slopes_f[idx] * x + intercepts_f[idx]
+            a, c, m = maps[idx]
+            n, d = a * n + c * d, m * d
             tag = tag and slope_nonzero[idx]
-            xs.append(x)
+            if d.bit_length() > bit_cap:
+                g = math.gcd(n, d)
+                n, d = n // g, d // g
+                if d.bit_length() > bit_cap:
+                    rest = draws[len(picks):]
+                    break
+            exact.append((n, d))
         edges[done:done + len(picks)] = picks
         done += len(picks)
-        positions[done + 1 - len(xs):done + 1] = xs
     positions[:len(exact)] = [n / d for n, d in exact]
+    if rest is not None:
+        positions[done] = n / d
+        loop = _ScalarLoop(tables)
+        while done < steps:
+            # one generator call per block, the first topping up what the
+            # exact prefix left of its chunk; zeros pad the last segment
+            size = min(BLOCK, steps - done)
+            flat = np.zeros(-(-size // SEGMENT) * SEGMENT, dtype=np.uint64)
+            flat[:len(rest)] = rest
+            flat[len(rest):size] = draw(size - len(rest))
+            rest = rest[:0]
+            tag = _float_block(tables, loop, flat.reshape(-1, SEGMENT), tag,
+                               edges[done:done + size], positions[done:done + size + 1])
+            done += size
 
     n_tagged = 0
     if start.irrational_tag:
@@ -313,6 +349,90 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
         n_tagged = int(cleared[0]) + 1 if cleared.size else steps + 1
     return Trace(seed=seed, x0=start, edge_ids=tables.edge_ids, edges=edges,
                  positions=positions, exact=exact, n_tagged=n_tagged)
+
+
+class _ScalarLoop:
+    """One float step at a time: the sequential definition of the float
+    phase, run on the rows of `EvalTables` as Python lists."""
+
+    def __init__(self, tables: sampling.EvalTables):
+        cuts = tables.index.cuts
+        self.floats, self.tagged = cuts.table.tolist(), cuts.tagged
+        self.selectors = tables.row_selectors
+        self.slopes_f = tables.slopes_f.tolist()
+        self.intercepts_f = tables.intercepts_f.tolist()
+        self.slope_nonzero = tables.slope_nonzero.tolist()
+
+    def run(self, x: float, tag: bool, draws: list, stored=None, stored_tags=None):
+        """The edge indexes and positions of the steps from (x, tag) on
+        `draws`. With `stored` and `stored_tags`, the positions and tags of
+        another orbit on the same draws, stop after the first step whose
+        state equals that orbit's bit for bit: from there on they agree."""
+        floats, tagged, selectors = self.floats, self.tagged, self.selectors
+        slopes_f, intercepts_f, slope_nonzero = self.slopes_f, self.intercepts_f, self.slope_nonzero
+        picks, xs = [], []
+        for i, u in enumerate(draws):
+            pos = bisect_right(floats, x)
+            idx = bisect_right(selectors[pos * 2 + tag if tagged else pos], u)
+            picks.append(idx)
+            x = slopes_f[idx] * x + intercepts_f[idx]
+            tag = tag and slope_nonzero[idx]
+            xs.append(x)
+            # the cheap comparison first: most steps do not meet
+            if stored is not None and x == stored[i] and _same_state(x, tag, stored[i],
+                                                                     stored_tags[i]):
+                break
+        return picks, xs
+
+
+def _same_state(x, tag, y, y_tag) -> bool:
+    """Whether two float states agree bit for bit (a position is never NaN)."""
+    return x == y and tag == y_tag and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _float_block(tables, loop: _ScalarLoop, grid: np.ndarray, tag: bool,
+                 edges: np.ndarray, positions: np.ndarray) -> bool:
+    """Steps 0..n-1 of the float phase, n = len(edges), from positions[0]
+    with `tag`: writes edges[k] and positions[k + 1] and returns the tag
+    after the last step. Row j of `grid` holds the draws of segment j,
+    steps j*SEGMENT.. (the last row padded). From `MIN_LANES` segments on
+    they run in lockstep through `sampling.VectorPaths` (see `simulate`);
+    every segment not accepted is run by the scalar loop, in order."""
+    lanes, n = len(grid), len(edges)
+    lockstep = lanes >= MIN_LANES
+    if lockstep:
+        # every lane starts from the block's first state; lane j warms up on
+        # the last draws of segment j - 1, and lane 0, whose start is known,
+        # on those of the last segment before it is reset
+        paths = sampling.VectorPaths(tables, np.full(lanes, positions[0]), tag, None)
+        for u in np.roll(grid[:, SEGMENT - WARM_UP:], 1, axis=0).T:
+            paths.apply(paths.select(paths.rows()[0], u))
+        paths.positions[0, 0], paths.tags[0, 0] = positions[0], tag
+        lead = paths.positions[0]   # a view that `apply` updates in place
+        starts, start_tags = lead.copy(), paths.tags[0].copy()
+        tail = n - (lanes - 1) * SEGMENT   # steps of the last segment
+        for t in range(SEGMENT):
+            idx = paths.select(paths.rows()[0], grid[:, t])
+            paths.apply(idx)
+            k = lanes if t < tail else lanes - 1
+            edges[t::SEGMENT] = idx[:k]
+            positions[t + 1::SEGMENT] = lead[:k]
+
+    for j in range(lanes):
+        lo, hi = j * SEGMENT, min((j + 1) * SEGMENT, n)
+        if not lockstep or (j and not _same_state(positions[lo], tag, starts[j], start_tags[j])):
+            stored = stored_tags = None
+            if lockstep:   # run until the segment's orbit meets the lane's
+                stored = positions[lo + 1:hi + 1].tolist()
+                stored_tags = (np.logical_and.accumulate(tables.slope_nonzero[edges[lo:hi]])
+                               & start_tags[j]).tolist()
+            picks, xs = loop.run(float(positions[lo]), tag, grid[j, :hi - lo].tolist(),
+                                 stored, stored_tags)
+            edges[lo:lo + len(picks)] = picks
+            positions[lo + 1:lo + 1 + len(xs)] = xs
+        if tag and tables.tags_fall:   # the true tag after segment j
+            tag = bool(tables.slope_nonzero[edges[lo:hi]].all())
+    return tag
 
 
 def ergodic_average(trace: Trace, f: TestFunction):

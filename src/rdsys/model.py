@@ -599,7 +599,7 @@ class Cuts:
             if self.tagged:
                 return np.asarray(tags, dtype=bool).astype(np.intp)
             return np.zeros(np.shape(positions), dtype=np.intp)
-        rows = np.searchsorted(self.table, positions, side="right")
+        rows = self.table.searchsorted(positions, side="right")
         if self.tagged:
             rows *= 2
             rows += tags

@@ -29,6 +29,10 @@ The Monte Carlo kernel is one lockstep ensemble of lanes:
   take the same edge from their own positions (the likelihood-ratio
   partner of `measures.xi_estimate`). Rows come from one `searchsorted`
   on that float cut table.
+* `VectorPaths` also runs the lockstep segments of `dynamics.simulate`'s
+  float phase. There the lanes are segments of one trace, and their
+  draws come from the trace's own substream: the caller passes each
+  step's words to `select` and no `LaneStreams` is made.
 """
 
 from __future__ import annotations
@@ -267,7 +271,8 @@ class EvalTables:
 class VectorPaths:
     """Lockstep ensemble of sample paths: positions and tags of shape
     (k, lanes), where row 0 leads with the draws of `streams` and the
-    other rows take the edges it takes."""
+    other rows take the edges it takes. With `streams` None, `step` is
+    unavailable and the caller feeds `select` the draws."""
 
     def __init__(self, tables: EvalTables, positions, tags, streams: LaneStreams):
         self.tables = tables

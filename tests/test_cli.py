@@ -269,6 +269,17 @@ class TestSimulate:
         assert trace[1] == "0,-,0,exact"
         assert trace[2] == "1,1,1/3,exact"
 
+    def test_parser_reuse_keeps_the_default_average(self, step_file, capsys):
+        # the parser is built once per process and --f appends to a list default
+        base = ["simulate", step_file, "--x0", "0", "--steps", "50", "--seed", "11"]
+        assert run(base + ["--f", "poly:0,1", "--f", "ind:1/3,1,false,true"]) == 0
+        first = capsys.readouterr().out
+        assert "ergodic average of ind:1/3,1,false,true" in first
+        assert run(base) == 0
+        averages = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("ergodic average")]
+        assert len(averages) == 1 and averages[0].startswith("ergodic average of poly:0,1:")
+
     def test_exact_mode_fractions_only(self, step_file, tmp_path):
         outdir = tmp_path / "s2"
         assert run(["simulate", step_file, "--x0", "1/2", "--steps", "40",

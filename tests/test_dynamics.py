@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import UNIT, random_system
-from rdsys import sampling, systems
+from conftest import MIXED_SPLIT, UNIT, mixed_system, random_system
+from rdsys import dynamics, sampling, systems
 from rdsys.dynamics import (DENOMINATOR_BIT_CAP, DegenerateCellOnly,
                             EmptySamples, Indicator, Polynomial,
                             class_frequencies, contraction_estimate,
@@ -453,14 +453,60 @@ def assert_same_trace(new, old, fp=None):
         assert class_frequencies(new, fp) == oracle_class_frequencies(old, fp)
 
 
-def tag_clearing_system() -> SystemSpec:
+def tag_clearing_system(clear: Fraction = F(1, 100),
+                        rational_clear: Fraction = F(1, 4)) -> SystemSpec:
     """Rationality-dependent halving maps plus a constant map, whose
-    firing clears the irrationality tag."""
+    firing, at probability `clear` on irrationals and `rational_clear` on
+    rationals, clears the irrationality tag."""
     half = F(1, 2)
     return SystemSpec(domain=UNIT, edges=(
-        Edge("0", AffineMap(half, F(0)), RationalityPredicate(half, F(1, 2))),
-        Edge("1", AffineMap(half, half), RationalityPredicate(F(1, 4), F(49, 100))),
-        Edge("c", AffineMap(F(0), F(1, 3)), RationalityPredicate(F(1, 4), F(1, 100)))))
+        Edge("0", AffineMap(half, F(0)), RationalityPredicate(half, half)),
+        Edge("1", AffineMap(half, half), RationalityPredicate(half - rational_clear, half - clear)),
+        Edge("c", AffineMap(F(0), F(1, 3)), RationalityPredicate(rational_clear, clear))))
+
+
+def slow_contraction_system() -> SystemSpec:
+    """Maps 9x/10 and 9x/10 + 1/10, at probabilities 1/3 and 2/3 below
+    1/2 and 2/3 and 1/3 above: orbits on shared draws come together too
+    slowly to meet within `dynamics.WARM_UP` steps."""
+    low, high = Interval(F(0), F(1, 2), True, True), Interval(F(1, 2), F(1), False, True)
+    return SystemSpec(domain=UNIT, edges=(
+        Edge("0", AffineMap(F(9, 10), F(0)),
+             PiecewiseConstant(((low, F(1, 3)), (high, F(2, 3))))),
+        Edge("1", AffineMap(F(9, 10), F(1, 10)),
+             PiecewiseConstant(((low, F(2, 3)), (high, F(1, 3)))))))
+
+
+@dataclass
+class OracleArrays:
+    """`oracle_simulate` in the arrays of a `Trace`."""
+
+    edges: np.ndarray       # edge index per step
+    positions: np.ndarray   # float64, the exact prefix rounded to nearest
+    exact: list             # the exact prefix, as Fractions
+    n_tagged: int
+
+    def assert_prefix_of(self, new) -> None:
+        """`new` is this trace's first len(new) steps, bit for bit."""
+        steps = len(new)
+        assert np.array_equal(new.edges, self.edges[:steps])
+        assert np.array_equal(new.positions.view(np.uint64),
+                              self.positions[:steps + 1].view(np.uint64))
+        assert [F(n, d) for n, d in new.exact] == self.exact[:steps + 1]
+        assert new.n_tagged == min(self.n_tagged, steps + 1)
+
+
+def oracle_arrays(spec, x0, steps, seed, *, bit_cap=DENOMINATOR_BIT_CAP) -> OracleArrays:
+    old = oracle_simulate(spec, x0, steps, seed, bit_cap=bit_cap)
+    index = {edge_id: k for k, edge_id in enumerate(spec.edge_ids)}
+    return OracleArrays(edges=np.array([index[label] for label in old.labels], dtype=np.intp),
+                        positions=oracle_float_values(old),
+                        exact=old.values[:old.exact_steps + 1], n_tagged=old.tags.count(True))
+
+
+@functools.cache
+def slow_contraction_oracle() -> OracleArrays:
+    return oracle_arrays(slow_contraction_system(), F(1, 3), 100_000, seed=5)
 
 
 @functools.cache
@@ -520,6 +566,73 @@ class TestAgainstListTraces:
                                   oracle_simulate(spec, start, 400, seed, bit_cap=cap), fp)
             checked += 1
 
+    # the float phase in lockstep segments, bit for bit, with
+    # `dynamics.MIN_LANES` at its value and lowered so that short float
+    # phases run in lockstep too
+
+    @pytest.mark.parametrize("name, x0", [
+        *(pytest.param(name, "1/3", id=name) for name in sorted(systems.BUILDERS)),
+        pytest.param("mixed_split", "1/3", id="mixed_split"),
+        pytest.param("rational_split", "irr:1/5", id="rational_split-irr"),
+        pytest.param("mixed_split", "irr:1/5", id="mixed_split-irr")])
+    def test_bundled_around_the_segments(self, name, x0, monkeypatch):
+        spec = MIXED_SPLIT if name == "mixed_split" else systems.bundled_spec(name)
+        longest = (1 << 18) + 1
+        want = oracle_arrays(spec, x0, longest, seed=3)
+        e = len(want.exact) - 1
+        assert e < longest
+        for steps in sorted({0, 1, e, e + 1, e + 63, e + 64, e + 65, longest - 2, longest,
+                             10 ** 5}):
+            want.assert_prefix_of(simulate(spec, x0, steps, seed=3))
+        # the float phase starts at step e + 1; short ones in lockstep too
+        monkeypatch.setattr(dynamics, "MIN_LANES", 1)
+        seg, warm = dynamics.SEGMENT, dynamics.WARM_UP
+        for floats in (1, warm, seg - 1, seg, seg + 1, seg + warm, 2 * seg + warm + 1):
+            want.assert_prefix_of(simulate(spec, x0, e + 1 + floats, seed=3))
+
+    def test_random_systems_long_float_phase(self, monkeypatch):
+        # every block of two segments or more runs in lockstep
+        monkeypatch.setattr(dynamics, "MIN_LANES", 2)
+        rng = random.Random(0x5E6)
+        for k in range(100):
+            spec = (random_system if k % 2 else mixed_system)(rng)
+            start = Point(F(rng.randint(1, 11), 12), rng.random() < 0.5)
+            seed = rng.randrange(1 << 20)
+            new = simulate(spec, start, 20_000, seed, bit_cap=16)
+            oracle_arrays(spec, start, 20_000, seed, bit_cap=16).assert_prefix_of(new)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tag_falls_in_a_later_segment(self, seed):
+        # the rows of the two tags differ only for draws above 1 - 1/1000, so
+        # a later segment still tagged by its guess reaches the true position
+        # bit for bit, and only its tag tells it apart
+        spec = tag_clearing_system(F(1, 5000), F(1, 1000))
+        new = simulate(spec, "irr:1/5", 40_000, seed, bit_cap=64)
+        assert len(new) - new.exact_steps >= dynamics.MIN_LANES * dynamics.SEGMENT
+        assert new.exact_steps + 1 + dynamics.SEGMENT < new.n_tagged < len(new)
+        oracle_arrays(spec, "irr:1/5", 40_000, seed, bit_cap=64).assert_prefix_of(new)
+
+    def test_slow_contraction_repairs_segments(self, monkeypatch):
+        run, repairs = dynamics._ScalarLoop.run, []
+
+        def spy(loop, x, tag, draws, stored=None, stored_tags=None):
+            picks, xs = run(loop, x, tag, draws, stored, stored_tags)
+            if stored is not None:
+                repairs.append(len(picks))
+            return picks, xs
+        monkeypatch.setattr(dynamics._ScalarLoop, "run", spy)
+        new = simulate(slow_contraction_system(), F(1, 3), 100_000, seed=5)
+        slow_contraction_oracle().assert_prefix_of(new)
+        # most segments are repaired, each in fewer steps than a segment has
+        assert len(repairs) > 50 and max(repairs) < dynamics.SEGMENT
+
+    def test_the_boundary_check_makes_the_trace_exact(self, monkeypatch):
+        # accepting every segment unchecked leaves guessed orbits in the trace
+        monkeypatch.setattr(dynamics, "_same_state", lambda *states: True)
+        new = simulate(slow_contraction_system(), F(1, 3), 100_000, seed=5)
+        want = slow_contraction_oracle()
+        assert not np.array_equal(new.positions.view(np.uint64), want.positions.view(np.uint64))
+
 
 class TestTraceViews:
     def test_prefix_of_a_longer_trace(self):
@@ -572,10 +685,9 @@ class TestTraceViews:
 def test_trace_memory_stays_near_its_arrays():
     """A 2*10^5-step trace of step_ninth, both averages over it and one
     prefix comparison peak below 7 times the bytes of the trace's
-    arrays. Here the peak is 9.6 MiB against 1.7 MiB of arrays (the rest:
-    the exact prefix's integer pairs, one chunk of draws, and one chunk of
-    each side of the comparison); a trace of Python lists peaked at
-    15.4 MiB."""
+    arrays. Here the peak is 8.5 MiB against 1.7 MiB of arrays (the rest:
+    the exact prefix's integer pairs and its chunk of draws as Python
+    ints); a trace of Python lists peaked at 15.4 MiB."""
     fp = fundamental_partition(STEP)
     steps = 200_000
     simulate(STEP, F(5, 7), 10, seed=3)
