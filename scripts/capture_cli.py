@@ -20,7 +20,10 @@ rationality tag, is run through `partition`, `graph`, `simulate` from an
 irrational start and `xi` on a separated pair. A one-cell system of two
 identity maps (probabilities 1/3 and 2/3), whose moment system is
 singular, is written to OUTDIR/identity_maps/system.txt and run through
-`graph`, which exits 3 with the solver's `SingularSystem`:
+`graph`, which exits 3 with the solver's `SingularSystem`. A system with
+no stable partition at the default cap (maps 2x/3 and x/3 + 2/3, cut at
+1/2), whose exact folds walk words, is written to
+OUTDIR/no_partition/system.txt and run through `cylinders` and `xi`:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -84,6 +87,22 @@ prob = piecewise (0,1,true,true,1/3)
 slope = 1
 intercept = 0
 prob = piecewise (0,1,true,true,2/3)
+"""
+
+# pulling the cut at 1/2 back through 2x/3 never closes: no stable partition
+NO_PARTITION = """[domain]
+lo = 0
+hi = 1
+
+[edge 0]
+slope = 2/3
+intercept = 0
+prob = piecewise (0,1/2,true,true,1/3);(1/2,1,false,true,2/3)
+
+[edge 1]
+slope = 1/3
+intercept = 2/3
+prob = piecewise (0,1/2,true,true,2/3);(1/2,1,false,true,1/3)
 """
 
 
@@ -170,6 +189,13 @@ def main() -> int:
     identity.write_text(IDENTITY_MAPS, encoding="utf-8")
     plan.append(("identity_maps", [("graph", ["graph", str(identity), "--seed", SEED,
                                               "--json"])]))
+    walked = root / "no_partition" / "system.txt"
+    walked.parent.mkdir(parents=True, exist_ok=True)
+    walked.write_text(NO_PARTITION, encoding="utf-8")
+    plan.append(("no_partition", [
+        ("cylinders", ["cylinders", str(walked), "--x", "1/3", "--depth", "6", "--json"]),
+        ("xi", xi(str(walked), "1/4", "3/4", 8)),
+        ("xi_separated", xi(str(walked), "0", "1", 8))]))
     for name, named_runs in plan:
         for run_name, argv in named_runs:
             where = root / name / run_name

@@ -109,7 +109,7 @@ CHUNK = 1 << 16      # draws per generator call of the exact prefix; positions p
 VIEW_BLOCK = 1 << 12  # elements a view makes at a time when iterated
 BLOCK = 1 << 18      # draws per generator call of the float phase
 SEGMENT = 1 << 10    # steps of one lockstep segment of a float block
-WARM_UP = 64         # steps a segment runs from its guess before its first index
+WARM_UP = 64         # fewest steps a segment runs from its guess before its first index
 MIN_LANES = 32       # segments a float block needs to run in lockstep: below it
                      # the scalar loop is faster (one lockstep step costs ~30 scalar ones)
 
@@ -273,19 +273,22 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
 
     The float phase runs in blocks of at most `BLOCK` draws, each cut into
     segments of `SEGMENT` steps that advance in lockstep. Segment j > 0
-    starts from a guess, the block's first state, run `WARM_UP` steps on
-    the draws before it. It is accepted only if its state at its first
-    index, position and tag, equals the true one bit for bit: the last
-    position of segment j - 1, and the tag the accepted edges leave. A
-    step is a function of the state and the draw alone, computed as the
-    scalar loop computes it (one bisection on the same float cut table,
-    the same thresholds, the same two float64 roundings), so an accepted
-    segment is the sequential orbit throughout. A rejected one is
+    starts from a guess, the block's first state, run W steps on the
+    draws before it, W read from the largest slope (`_warm_up`). It is
+    accepted only if its state at its first index, position and tag,
+    equals the true one bit for bit: the last position of segment j - 1,
+    and the tag the accepted edges leave. A step is a function of the
+    state and the draw alone, computed as the scalar loop computes it
+    (one bisection on the same float cut table, the same thresholds, the
+    same two float64 roundings), so an accepted segment is the
+    sequential orbit throughout. A rejected one is
     recomputed by the scalar loop from the true state, up to the first
     step whose state equals the segment's. The trace is thus the
     sequential one bit for bit; contraction, which makes orbits on shared
     draws meet, decides only how few steps the scalar loop takes. A block
-    of fewer than `MIN_LANES` segments runs the scalar loop throughout."""
+    of fewer than `MIN_LANES` segments, or a system with no warm-up (a
+    slope of modulus 1 or more, or one so near 1 that W reaches
+    `SEGMENT`), runs the scalar loop throughout."""
     if steps < 0:
         raise RdsError("steps must be >= 0")
     start = as_point(x0)
@@ -331,6 +334,7 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
     if rest is not None:
         positions[done] = n / d
         loop = _ScalarLoop(tables)
+        warm = _warm_up(spec)
         while done < steps:
             # one generator call per block, the first topping up what the
             # exact prefix left of its chunk; zeros pad the last segment
@@ -339,7 +343,7 @@ def simulate(spec: SystemSpec, x0: PointLike, steps: int, seed: int, *,
             flat[:len(rest)] = rest
             flat[len(rest):size] = draw(size - len(rest))
             rest = rest[:0]
-            tag = _float_block(tables, loop, flat.reshape(-1, SEGMENT), tag,
+            tag = _float_block(tables, loop, flat.reshape(-1, SEGMENT), tag, warm,
                                edges[done:done + size], positions[done:done + size + 1])
             done += size
 
@@ -390,22 +394,49 @@ def _same_state(x, tag, y, y_tag) -> bool:
     return x == y and tag == y_tag and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
+def _warm_up(spec: SystemSpec) -> Optional[int]:
+    """The warm-up of a lockstep segment: the least W >= `WARM_UP` with
+    rho**W <= 2**-64, rho the largest |slope| of the system's maps (rho = 0
+    keeps `WARM_UP`). Two orbits that take the same edges draw together by
+    a factor of at most rho a step, so after W steps they are within the
+    rounding of float64, and a segment's guess most likely meets the true
+    orbit; the bitwise check decides either way. None when rho >= 1 or W
+    would reach `SEGMENT`: the float phase then runs the scalar loop.
+    For rho = 9/10, W = 422; for slopes of 1/2 or less, W = 64."""
+    rho = max(abs(e.map.slope) for e in spec.edges)
+    if rho >= 1:
+        return None
+    if rho == 0:
+        return WARM_UP
+    p, q = rho.numerator, rho.denominator
+    w = max(WARM_UP, math.ceil(64 * math.log(2) / math.log(q / p)))
+    if w > SEGMENT:   # the float estimate is off by at most one step
+        return None
+    # the exact least W at or above WARM_UP
+    while q ** w < p ** w << 64:
+        w += 1
+    while w > WARM_UP and q ** (w - 1) >= p ** (w - 1) << 64:
+        w -= 1
+    return w if w < SEGMENT else None
+
+
 def _float_block(tables, loop: _ScalarLoop, grid: np.ndarray, tag: bool,
-                 edges: np.ndarray, positions: np.ndarray) -> bool:
+                 warm: Optional[int], edges: np.ndarray, positions: np.ndarray) -> bool:
     """Steps 0..n-1 of the float phase, n = len(edges), from positions[0]
     with `tag`: writes edges[k] and positions[k + 1] and returns the tag
     after the last step. Row j of `grid` holds the draws of segment j,
-    steps j*SEGMENT.. (the last row padded). From `MIN_LANES` segments on
-    they run in lockstep through `sampling.VectorPaths` (see `simulate`);
-    every segment not accepted is run by the scalar loop, in order."""
+    steps j*SEGMENT.. (the last row padded). From `MIN_LANES` segments on,
+    and when the warm-up `warm` (`_warm_up`) is not None, they run in
+    lockstep through `sampling.VectorPaths` (see `simulate`); every
+    segment not accepted is run by the scalar loop, in order."""
     lanes, n = len(grid), len(edges)
-    lockstep = lanes >= MIN_LANES
+    lockstep = warm is not None and lanes >= MIN_LANES
     if lockstep:
         # every lane starts from the block's first state; lane j warms up on
         # the last draws of segment j - 1, and lane 0, whose start is known,
         # on those of the last segment before it is reset
         paths = sampling.VectorPaths(tables, np.full(lanes, positions[0]), tag, None)
-        for u in np.roll(grid[:, SEGMENT - WARM_UP:], 1, axis=0).T:
+        for u in np.roll(grid[:, SEGMENT - warm:], 1, axis=0).T:
             paths.apply(paths.select(paths.rows()[0], u))
         paths.positions[0, 0], paths.tags[0, 0] = positions[0], tag
         lead = paths.positions[0]   # a view that `apply` updates in place

@@ -6,6 +6,32 @@ probabilities. This module computes those masses exactly, together with
 the prefix likelihood ratios between two starting points, their martingale
 defect, exact tail masses, and a graded finite-depth verdict on whether
 the two path measures share null sets.
+
+Every fold computes in integers over scale**k, scale the common
+denominator of the probabilities (`CellIndex.scale`). There are two ways
+to reach the depth-k words:
+
+* The chain. Let the system have a stable partition at
+  `partition.REFINE_CAP`: every probability is constant on each cell, and
+  every map sends each cell into one cell. Then, by induction on the word,
+  a word leads a point to the cell that the chain's arcs lead the point's
+  cell to, and the word's mass from the point is the product of the
+  chain's probabilities along the way. So the path measure from a point
+  is the chain's measure from its cell. `tail_mass_exact` and `xi`'s
+  exact tail table (`_exact_tail_scan`) fold over the chain's layers
+  (`_pair_layers`), and `martingale_discrepancy` is two dynamic programs
+  on cell pairs (`_martingale_on_chain`). A layer never has more keys
+  than there are words at its depth, so on no input do the layers cost
+  more than a constant factor over the walk.
+* The walk. `_code_walk` visits the words one by one, up to |E|**depth of
+  them. `enumerate_cylinders` lists words, so it walks. `partition.lift_check`
+  walks, because it must not read the chain it checks. The pair folds walk
+  when the system has no stable partition, or when a point lies in no
+  cell.
+
+Both ways check their arguments by `_check_walk` first: the depth, the
+word budget, then the domain. So `BudgetExceeded` and the word budget
+act the same on either way, though the chain would reach deeper.
 """
 
 from __future__ import annotations
@@ -19,14 +45,35 @@ from typing import Optional
 import numpy as np
 
 from . import partition, sampling
-from .model import (BudgetExceeded, DegenerateSampling, Point, PointLike,
+from .model import (BudgetExceeded, DegenerateSampling, OutOfDomain, Point, PointLike,
                     SystemSpec, Word, as_point, format_rational)
 
 DEFAULT_WORD_BUDGET = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# the code-space walk
+# the code-space walk and the chain layers
+
+def _check_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: int,
+                budget: int):
+    """The checks every exact fold makes before it reads a word, in this
+    order: the depth, the word budget |E|^depth, then x and y in the
+    domain. Returns x and y as points (y None when y is None)."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    n_edges = len(spec.edges)
+    # with two or more edges the power exceeds the budget once the depth
+    # passes its bit length, so the power is only ever computed when small
+    if (n_edges >= 2 and depth > int(budget).bit_length()) or n_edges ** depth > budget:
+        raise BudgetExceeded(
+            f"|E|^depth = {n_edges}^{depth} exceeds budget {budget}")
+    xp = as_point(x)
+    spec.require_in_domain(xp)
+    yp = None if y is None else as_point(y)
+    if yp is not None:
+        spec.require_in_domain(yp)
+    return xp, yp
+
 
 def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: int,
                budget: int):
@@ -41,23 +88,15 @@ def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: in
     are None. On an edge of zero y-probability y's state stays put; a word
     with zero y-mass is yielded but not extended. Each word locates its
     points' rows by one exact bisection each on the system's `CellIndex`.
-    The depth, the word budget and the start points are checked
-    when the function is called, in that order, not on the first step of
-    the walk.
+    `_check_walk` runs when the function is called, not on the first step
+    of the walk.
+
+    It visits up to |E|^depth words. `enumerate_cylinders`, which lists
+    words, and `lift_check`, which must not read the chain it checks, walk
+    it; the pair folds walk it only where the chain layers do not apply
+    (`_pair_walk`).
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    n_edges = len(spec.edges)
-    # with two or more edges the power exceeds the budget once the depth
-    # passes its bit length, so the power is only ever computed when small
-    if (n_edges >= 2 and depth > int(budget).bit_length()) or n_edges ** depth > budget:
-        raise BudgetExceeded(
-            f"|E|^depth = {n_edges}^{depth} exceeds budget {budget}")
-    xp = as_point(x)
-    spec.require_in_domain(xp)
-    yp = None if y is None else as_point(y)
-    if yp is not None:
-        spec.require_in_domain(yp)
+    xp, yp = _check_walk(spec, x, y, depth, budget)
     index = spec.cell_index
     scale, probs, steps, row_of = index.scale, index.numerators, index.steps, index.cuts.row_of
 
@@ -89,6 +128,108 @@ def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: in
                       (a * yn + c * yd, m * yd, yt and keep) if v else ys,
                       px * w, py * v))
     return scale, nodes()
+
+
+def _chain_start(spec: SystemSpec, xp: Point, yp: Point, stable=None):
+    """(arcs, a, b): the integer tables of the system's chain
+    (`_chain_arcs`) and the cells of xp and yp, or None when the system
+    has no stable partition at `partition.REFINE_CAP`, a point has no
+    cell, or two edges share an id. `stable` is the (partition, chain)
+    pair of `partition._stable_chain`, built here when not given."""
+    part, chain = partition._stable_chain(spec) if stable is None else stable
+    if chain is None or len(set(chain.labels)) < len(chain.labels):
+        return None
+    try:
+        a, b = part.cell_of_point(xp), part.cell_of_point(yp)
+    except OutOfDomain:
+        return None
+    return _chain_arcs(spec.cell_index.scale, chain), a, b
+
+
+def _chain_arcs(scale: int, chain):
+    """Per state, its arcs of positive probability in edge order as
+    (edge index, edge id, probability numerator over scale, target), and
+    every edge's numerator (0 where the state lacks it) and target."""
+    n_labels = len(chain.labels)
+    num = [[0] * n_labels for _ in range(chain.n_states)]
+    tgt = [[-1] * n_labels for _ in range(chain.n_states)]
+    for k, label in enumerate(chain.labels):
+        for s in range(chain.n_states):
+            p = chain.prob.get((s, label))
+            if p is not None:
+                num[s][k] = p.numerator * (scale // p.denominator)
+                tgt[s][k] = chain.target[(s, label)]
+    out = [[(k, label, row[k], tgt[s][k]) for k, label in enumerate(chain.labels) if row[k]]
+           for s, row in enumerate(num)]
+    return out, num, tgt
+
+
+def _pair_layers(arcs, a: int, b: int, depth: int):
+    """The pair walk from the cells a and b, one layer per depth, on the
+    chain instead of the words.
+
+    Layer k maps (x's cell, y's cell, exact ratio px/py in lowest terms)
+    to the summed masses (sum px, sum py) of the depth-k words that lead
+    there with positive y-mass, as integers over scale**k, and to the
+    key's lex-least word by edge index. The words that lose their y-mass
+    at depth k go to one dead bucket, with their summed x-mass and
+    lex-least word. Yields (word, x cell, y cell, px, py) per key and
+    (word, None, None, px, 0) per nonempty dead bucket, depth by depth:
+    the nodes of `_code_walk`, with the words of a key or of a bucket
+    merged into one.
+
+    A fold over the nodes gives the walker's answer because the words of a
+    key share their ratio, so a threshold test on the sums answers it for
+    each word, and because within a layer the keys come in the order of
+    their words: a key's first parent in its layer's order, and its
+    smallest edge from there, give its lex-least word. The masses are
+    the words' own by the lemma in the module docstring.
+
+    A layer has at most as many keys as the walker has words at its depth,
+    and each key costs one pass over its arcs, as a word does.
+    """
+    out, num, tgt = arcs
+    layer = {(a, b, 1, 1): [1, 1, ()]}
+    yield (), a, b, 1, 1
+    for _k in range(depth):
+        nxt = {}
+        dead, dead_word = 0, None
+        for (s, t, rn, rd), (px, py, word) in layer.items():
+            wy, ty = num[t], tgt[t]
+            for k, eid, w, s2 in out[s]:
+                v = wy[k]
+                if not v:
+                    dead += px * w
+                    if dead_word is None:
+                        dead_word = word + (eid,)
+                    continue
+                n2, d2 = rn * w, rd * v
+                g = math.gcd(n2, d2)
+                key = (s2, ty[k], n2 // g, d2 // g)
+                entry = nxt.get(key)
+                if entry is None:
+                    nxt[key] = [px * w, py * v, word + (eid,)]
+                else:
+                    entry[0] += px * w
+                    entry[1] += py * v
+        for (s, t, _rn, _rd), (px, py, word) in nxt.items():
+            yield word, s, t, px, py
+        if dead_word is not None:
+            yield dead_word, None, None, dead, 0
+        layer = nxt
+
+
+def _pair_walk(spec: SystemSpec, x: PointLike, y: PointLike, depth: int, budget: int,
+               stable=None):
+    """(scale, nodes) of the pair walk to `depth`: `_pair_layers` on the
+    chain where `_chain_start` finds one, `_code_walk` otherwise. Both
+    check their arguments by `_check_walk` first, so the errors are the
+    walker's on either path."""
+    xp, yp = _check_walk(spec, x, y, depth, budget)
+    start = _chain_start(spec, xp, yp, stable)
+    if start is None:
+        return _code_walk(spec, xp, yp, depth, budget)
+    return spec.cell_index.scale, _pair_layers(*start, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +328,26 @@ def martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
     depth-m ratio (both under the y-measure). The defect is zero whenever
     no positive-x-mass word with zero y-mass appears by depth n, which is
     the regime where the conditional-expectation identity holds.
+
+    C's defect is the x-mass of its depth-n extensions with zero y-mass:
+    P_x(C) times the x-probability, from the cells (a, b) that C leads x
+    and y to, of meeting an edge of zero y-probability within n - m
+    steps. So on the chain the defect is the largest, over the depth-m
+    cell pairs (a, b), of the largest depth-m x-mass that reaches (a, b)
+    with positive y-mass times that probability from (a, b): two small
+    dynamic programs on cell pairs (`_martingale_on_chain`). Without a
+    chain the words are walked.
     """
     if m > n:
         raise ValueError(f"need m <= n, got m={m}, n={n}")
     if m < 0:
         raise ValueError(f"depth must be >= 0, got {m}")
-    scale, nodes = _code_walk(spec, x, y, n, DEFAULT_WORD_BUDGET)
+    xp, yp = _check_walk(spec, x, y, n, DEFAULT_WORD_BUDGET)
+    scale = spec.cell_index.scale
+    start = _chain_start(spec, xp, yp)
+    if start is not None:
+        return Fraction(_martingale_on_chain(scale, *start, m, n), scale ** n)
+    _scale, nodes = _code_walk(spec, xp, yp, n, DEFAULT_WORD_BUDGET)
     up = scale ** (n - m)   # takes a depth-m mass numerator over to scale**n
     worst = 0
     head = below = 0   # x-masses of a depth-m word and of its depth-n words
@@ -210,6 +365,41 @@ def martingale_discrepancy(spec: SystemSpec, x: PointLike, y: PointLike,
     return Fraction(max(worst, abs(below - head * up)), scale ** n)
 
 
+def _martingale_on_chain(scale: int, arcs, a: int, b: int, m: int, n: int) -> int:
+    """The martingale defect from the cells a and b, over scale**n.
+
+    `best` maps each cell pair reached at depth m with positive y-mass to
+    the largest x-mass of a word reaching it, over scale**m. `reach[t]`
+    holds the pairs t steps further on, along edges both sides take. Then,
+    backwards from t = h - 1 (h = n - m), `lost` maps each pair of
+    `reach[t]` to the x-probability of meeting an edge of zero
+    y-probability within h - t steps, over scale**(h - t).
+    """
+    out, num, tgt = arcs
+    best = {(a, b): 1}
+    for _k in range(m):
+        nxt = {}
+        for (s, t), px in best.items():
+            wy, ty = num[t], tgt[t]
+            for k, _eid, w, s2 in out[s]:
+                if wy[k]:
+                    key = (s2, ty[k])
+                    nxt[key] = max(nxt.get(key, 0), px * w)
+        best = nxt
+    h = n - m
+    reach = [best.keys()]
+    for _t in range(h - 1):
+        reach.append({(s2, tgt[u][k]) for s, u in reach[-1]
+                      for k, _eid, _w, s2 in out[s] if num[u][k]})
+    lost: dict = {}
+    for t in reversed(range(h)):
+        gone = scale ** (h - t - 1)   # an edge y lacks loses its whole x-mass
+        lost = {(s, u): sum(w * (lost.get((s2, tgt[u][k]), 0) if num[u][k] else gone)
+                            for k, _eid, w, s2 in out[s])
+                for s, u in reach[t]}
+    return max((px * lost.get(key, 0) for key, px in best.items()), default=0)
+
+
 # ---------------------------------------------------------------------------
 # tail masses
 
@@ -219,11 +409,12 @@ def tail_mass_exact(spec: SystemSpec, x: PointLike, y: PointLike, n: int,
 
     Words with positive x-mass and zero y-mass (infinite ratio) always
     count; once the y-mass dies the whole subtree's x-mass is credited in
-    one step via additivity.
+    one step via additivity. Folds over the chain layers where the system
+    has a stable partition (`_pair_walk`).
     """
     M = Fraction(M)
     a, b = M.numerator, M.denominator
-    scale, nodes = _code_walk(spec, x, y, n, DEFAULT_WORD_BUDGET)
+    scale, nodes = _pair_walk(spec, x, y, n, DEFAULT_WORD_BUDGET)
     power = [scale ** k for k in range(n + 1)]
     total = 0   # over scale**n
     for word, _x, _y, px, py in nodes:
@@ -295,14 +486,16 @@ class XiReport:
         return "\n".join(lines) + "\n"
 
 
-def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiParams):
-    """One pair walk collecting x-direction tail masses for every depth up
-    to n_exact and every grid threshold, and the first-found among the
+def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiParams,
+                     stable=None):
+    """One pair walk (`_pair_walk`, on `stable`'s chain when it has one)
+    collecting x-direction tail masses for every depth up to n_exact and
+    every grid threshold, and the lex-least by edge index among the
     shortest words with positive x-mass and zero y-mass, or None; the
     x-masses at each depth must sum to 1."""
     n_exact = params.n_exact
     # called first: it checks n_exact and the budget before the tables are sized
-    scale, nodes = _code_walk(spec, x, y, n_exact, params.budget)
+    scale, nodes = _pair_walk(spec, x, y, n_exact, params.budget, stable)
     power = [scale ** k for k in range(n_exact + 1)]
     grid = sorted({Fraction(M) for M in params.m_grid})
     ratios = [(M.numerator, M.denominator) for M in grid]
@@ -417,8 +610,12 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     spec.require_in_domain(xp)
     spec.require_in_domain(yp)
 
-    tails_x, witness_x = _exact_tail_scan(spec, xp, yp, params)
-    tails_y, witness_y = _exact_tail_scan(spec, yp, xp, params)
+    # one stable partition and chain for both scans and the certificate,
+    # built once the scans' own argument checks pass
+    _check_walk(spec, xp, yp, params.n_exact, params.budget)
+    stable = partition._stable_chain(spec)
+    tails_x, witness_x = _exact_tail_scan(spec, xp, yp, params, stable)
+    tails_y, witness_y = _exact_tail_scan(spec, yp, xp, params, stable)
     table = {key: tails_x[key] + tails_y[key] for key in tails_x}
     witness = witness_x if witness_x is not None else witness_y
 
@@ -451,7 +648,7 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
                 witness = word
                 break
 
-    cert = partition.pair_certificate(spec, xp, yp)
+    cert = partition._pair_certificate(*stable, xp, yp)
     if witness is None and cert is not None and cert.kind == "support_separation":
         witness = cert.word
 

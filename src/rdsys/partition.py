@@ -566,18 +566,31 @@ def fundamental_partition(spec: SystemSpec,
         state_class=state_class, fms_edges=fms_edges)
 
 
+def _stable_chain(spec: SystemSpec) -> tuple:
+    """The stable partition at `REFINE_CAP` and its chain, or (None, None)
+    when the system has none."""
+    try:
+        part = stable_partition(spec)
+        return part, extract_symbolic_chain(spec, part)
+    except (RefinementBudgetExceeded, NonConstantOnCell, ImageSplitsCells):
+        return None, None
+
+
+def _pair_certificate(part: Optional[IntervalPartition], chain: Optional[LabeledChain],
+                      x: Point, y: Point):
+    """The certificate of the cells of `part` holding x and y, read off
+    the product graph of `chain`; None when there is no chain."""
+    if chain is None:
+        return None
+    return ProductGraph(chain).certificate(part.cell_of_point(x), part.cell_of_point(y))
+
+
 def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
     """The certificate of the cells holding x and y, or None when the
     system has no stable partition. The path measure from a point equals
     the chain's measure from its cell, so the certificate decides the pair
     of points exactly. Builds the chain's product graph and merges nothing."""
-    try:
-        part = stable_partition(spec)
-        product = ProductGraph(extract_symbolic_chain(spec, part))
-    except (RefinementBudgetExceeded, NonConstantOnCell, ImageSplitsCells):
-        return None
-    return product.certificate(part.cell_of_point(as_point(x)),
-                               part.cell_of_point(as_point(y)))
+    return _pair_certificate(*_stable_chain(spec), as_point(x), as_point(y))
 
 
 def classify_point(fp: FundamentalPartition, x: PointLike) -> int:

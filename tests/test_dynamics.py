@@ -5,7 +5,7 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -468,7 +468,8 @@ def tag_clearing_system(clear: Fraction = F(1, 100),
 def slow_contraction_system() -> SystemSpec:
     """Maps 9x/10 and 9x/10 + 1/10, at probabilities 1/3 and 2/3 below
     1/2 and 2/3 and 1/3 above: orbits on shared draws come together too
-    slowly to meet within `dynamics.WARM_UP` steps."""
+    slowly to meet within `dynamics.WARM_UP` steps, and `dynamics._warm_up`
+    gives them 422."""
     low, high = Interval(F(0), F(1, 2), True, True), Interval(F(1, 2), F(1), False, True)
     return SystemSpec(domain=UNIT, edges=(
         Edge("0", AffineMap(F(9, 10), F(0)),
@@ -612,22 +613,62 @@ class TestAgainstListTraces:
         assert new.exact_steps + 1 + dynamics.SEGMENT < new.n_tagged < len(new)
         oracle_arrays(spec, "irr:1/5", 40_000, seed, bit_cap=64).assert_prefix_of(new)
 
-    def test_slow_contraction_repairs_segments(self, monkeypatch):
-        run, repairs = dynamics._ScalarLoop.run, []
+    @staticmethod
+    def count_scalar_runs(monkeypatch) -> tuple:
+        """Lists that collect the steps of each scalar repair and of each
+        scalar run from a known state."""
+        run, repairs, plain = dynamics._ScalarLoop.run, [], []
 
         def spy(loop, x, tag, draws, stored=None, stored_tags=None):
             picks, xs = run(loop, x, tag, draws, stored, stored_tags)
-            if stored is not None:
-                repairs.append(len(picks))
+            (plain if stored is None else repairs).append(len(picks))
             return picks, xs
         monkeypatch.setattr(dynamics._ScalarLoop, "run", spy)
+        return repairs, plain
+
+    def test_slow_contraction_repairs_segments(self, monkeypatch):
+        # with the least warm-up most segments miss the true orbit, which
+        # runs the repair path
+        monkeypatch.setattr(dynamics, "_warm_up", lambda spec: dynamics.WARM_UP)
+        repairs, _plain = self.count_scalar_runs(monkeypatch)
         new = simulate(slow_contraction_system(), F(1, 3), 100_000, seed=5)
         slow_contraction_oracle().assert_prefix_of(new)
         # most segments are repaired, each in fewer steps than a segment has
         assert len(repairs) > 50 and max(repairs) < dynamics.SEGMENT
 
+    def test_the_warm_up_follows_the_largest_slope(self, monkeypatch):
+        spec = slow_contraction_system()
+        assert dynamics._warm_up(spec) == 422
+        assert F(9, 10) ** 422 <= F(1, 2 ** 64) < F(9, 10) ** 421
+        assert dynamics._warm_up(STEP) == dynamics.WARM_UP
+        # 2^-64 needs 64 halvings; slope 0 keeps the least warm-up
+        assert dynamics._warm_up(tag_clearing_system()) == dynamics.WARM_UP
+        # no warm-up at slope 1 or at one so near 1 that it fills a segment
+        near = replace(spec, edges=tuple(replace(e, map=AffineMap(F(-1), F(1)))
+                                         if e.edge_id == "1" else e for e in spec.edges))
+        assert dynamics._warm_up(near) is None
+        flat = replace(spec, edges=tuple(
+            replace(e, map=AffineMap(F(999, 1000), e.map.intercept / 100))
+            for e in spec.edges))
+        assert dynamics._warm_up(flat) is None
+        # at 422 steps the lockstep segments meet the true orbit
+        repairs, plain = self.count_scalar_runs(monkeypatch)
+        new = simulate(spec, F(1, 3), 100_000, seed=5)
+        slow_contraction_oracle().assert_prefix_of(new)
+        assert len(repairs) <= 2 and not plain
+
+    def test_no_warm_up_runs_the_scalar_loop(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_warm_up", lambda spec: None)
+        repairs, plain = self.count_scalar_runs(monkeypatch)
+        new = simulate(slow_contraction_system(), F(1, 3), 100_000, seed=5)
+        slow_contraction_oracle().assert_prefix_of(new)
+        segments = -(-(len(new) - new.exact_steps) // dynamics.SEGMENT)
+        assert not repairs and len(plain) == segments
+
     def test_the_boundary_check_makes_the_trace_exact(self, monkeypatch):
-        # accepting every segment unchecked leaves guessed orbits in the trace
+        # accepting every segment unchecked leaves guessed orbits in the
+        # trace; with the least warm-up most of them are off the true orbit
+        monkeypatch.setattr(dynamics, "_warm_up", lambda spec: dynamics.WARM_UP)
         monkeypatch.setattr(dynamics, "_same_state", lambda *states: True)
         new = simulate(slow_contraction_system(), F(1, 3), 100_000, seed=5)
         want = slow_contraction_oracle()

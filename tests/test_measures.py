@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -6,16 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_system
-from rdsys import systems
+from conftest import MIXED_SPLIT, mixed_system, random_system
+from rdsys import measures, systems
 from rdsys.measures import (DEFAULT_WORD_BUDGET, BudgetExceeded, ExtendedRatio,
                             XiParams, _exact_tail_scan, cylinder_measure,
                             enumerate_cylinders, likelihood_ratio,
                             martingale_discrepancy, tail_mass_exact, xi_estimate)
-from rdsys.model import (AffineMap, DegenerateSampling, Edge, Interval, Point,
-                         PointLike, RationalityPredicate,
-                         RefinementBudgetExceeded, SystemSpec, as_point,
-                         format_rational)
+from rdsys.model import (AffineMap, DegenerateSampling, Edge, Interval, OutOfDomain,
+                         OverlappingPieces, PiecewiseConstant, Point, PointLike,
+                         RationalityPredicate, RefinementBudgetExceeded, SystemSpec,
+                         as_point, format_rational)
 from rdsys.partition import (FundamentalPartition, PartitionParams,
                              classify_point, fundamental_partition, lift_check)
 from rdsys.sysfile import parse_system
@@ -495,8 +497,77 @@ BUNDLED_POINTS = (Point(F(0)), Point(F(1, 4)), Point(F(1, 3)), Point(F(5, 7)),
                   Point(F(1)), IRR, Point(F(1, 5), True))
 
 
+def compare_public_folds(spec, x, y, depth) -> bool:
+    """`tail_mass_exact`, `martingale_discrepancy` and `xi_estimate`'s
+    exact tail table and witness against the oracles; returns whether
+    the pair has an exact witness word by `depth`."""
+    for M in (F(1), F(8)):
+        assert (tail_mass_exact(spec, x, y, depth, M)
+                == oracle_tail_mass_exact(spec, x, y, depth, M))
+    for m in sorted({0, depth // 2, depth - 1}):
+        assert (martingale_discrepancy(spec, x, y, m, depth)
+                == oracle_martingale_discrepancy(spec, x, y, m, depth))
+    params = XiParams(n_exact=depth, m_grid=GRID, n_mc=4, num_samples=4, seed=1)
+    tails_x, witness_x = oracle_exact_tail_scan(spec, x, y, params)
+    tails_y, witness_y = oracle_exact_tail_scan(spec, y, x, params)
+    witness = witness_x if witness_x is not None else witness_y
+    try:
+        report = xi_estimate(spec, x, y, params)
+    except OutOfDomain:
+        # the certificate refuses a tagged point at a one-point cell's
+        # value, as `pair_certificate` does; the scans alone still run
+        for a, b in ((x, y), (y, x)):
+            assert (_exact_tail_scan(spec, a, b, params)
+                    == oracle_exact_tail_scan(spec, a, b, params))
+        return witness is not None
+    assert report.exact_tail_table == {key: tails_x[key] + tails_y[key] for key in tails_x}
+    if witness is not None:
+        assert report.infinity_witness == witness
+    return witness is not None
+
+
+@pytest.fixture
+def fold_paths(monkeypatch):
+    """Counts the pair folds run on the chain (`chain`) and by the word
+    walker (`walker`); a walk with no second point (`single`) is not a
+    pair fold."""
+    counts = collections.Counter()
+    chain_layers, chain_martingale, walk = (measures._pair_layers,
+                                            measures._martingale_on_chain, measures._code_walk)
+
+    def layers(*args):
+        counts["chain"] += 1
+        return chain_layers(*args)
+
+    def martingale(*args):
+        counts["chain"] += 1
+        return chain_martingale(*args)
+
+    def walker(spec, x, y, depth, budget):
+        counts["single" if y is None else "walker"] += 1
+        return walk(spec, x, y, depth, budget)
+    monkeypatch.setattr(measures, "_pair_layers", layers)
+    monkeypatch.setattr(measures, "_martingale_on_chain", martingale)
+    monkeypatch.setattr(measures, "_code_walk", walker)
+    return counts
+
+
+def edge_system(n_edges: int, dead_for_high: set) -> SystemSpec:
+    """`n_edges` maps x/3 + k/(3 n_edges), with ids "0", "1", ...: edge k
+    has probability 1/n_edges on [0, 1/2], and the edges in
+    `dead_for_high` have probability 0 on (1/2, 1], the others sharing
+    their mass equally."""
+    low, high = Interval(F(0), F(1, 2), True, True), Interval(F(1, 2), F(1), False, True)
+    live = n_edges - len(dead_for_high)
+    return SystemSpec(domain=Interval(F(0), F(1)), edges=tuple(
+        Edge(str(k), AffineMap(F(1, 3), F(k, 3 * n_edges)),
+             PiecewiseConstant(((low, F(1, n_edges)),
+                                (high, F(0) if k in dead_for_high else F(1, live)))))
+        for k in range(n_edges)))
+
+
 class TestDifferential:
-    def test_random_systems(self):
+    def test_random_systems(self, fold_paths):
         rng = random.Random(0xC0DE)
         lifted = 0
         for _ in range(200):
@@ -510,15 +581,135 @@ class TestDifferential:
             lifted += 1
             compare_lifts(spec, fp, (x, y), 4)
         assert lifted >= 100
+        # systems with and without a stable partition at the default cap
+        assert fold_paths["chain"] >= 3000 and fold_paths["walker"] >= 300
 
     @pytest.mark.parametrize("name", sorted(systems.BUILDERS))
-    def test_bundled_systems(self, name):
+    def test_bundled_systems(self, name, fold_paths):
         spec = systems.bundled_spec(name)
         points = [p for p in BUNDLED_POINTS
                   if spec.has_rationality_edges or not p.irrational_tag]
         for x, y in zip(points, points[1:] + points[:1]):
             compare_walks(spec, x, y, 6)
         compare_lifts(spec, fundamental_partition(spec), points, 7)
+        # every bundled system has a stable partition: no pair fold walks words
+        assert fold_paths["chain"] and not fold_paths["walker"]
+
+    @pytest.mark.parametrize("spec", [
+        *(pytest.param(systems.bundled_spec(name), id=name)
+          for name in sorted(systems.BUILDERS)),
+        pytest.param(MIXED_SPLIT, id="mixed_split")])
+    def test_public_folds_on_bundled_pairs(self, spec, fold_paths):
+        points = [p for p in BUNDLED_POINTS
+                  if spec.has_rationality_edges or not p.irrational_tag]
+        for x, y in itertools.permutations(points, 2):
+            compare_public_folds(spec, x, y, 5)
+        assert fold_paths["chain"] >= 5 * len(points) * (len(points) - 1)
+        assert not fold_paths["walker"]
+
+    def test_public_folds_on_seeded_systems(self, fold_paths):
+        rng = random.Random(0xF01D)
+        pairs = witnesses = 0
+        for k in range(170):
+            spec = (mixed_system if k % 2 else random_system)(rng)
+            for _ in range(3):
+                x, y = (Point(F(rng.randint(0, 12), 12),
+                              spec.has_rationality_edges and rng.random() < 0.5)
+                        for _ in range(2))
+                witnesses += compare_public_folds(spec, x, y, 4)
+                pairs += 1
+        assert pairs == 510 and witnesses >= 100
+        assert fold_paths["chain"] >= 2500 and fold_paths["walker"] >= 500
+
+    def test_lex_least_of_several_dead_words(self, fold_paths):
+        # from 1/4 every edge is live; from 3/4 edges 1 and 2 are dead, so
+        # the depth-1 words 1 and 2 both die, and 1 comes first; from 1/4
+        # against 1/5 nothing dies at depth 1, and at depth 2 every word
+        # that leaves [0, 1/2] for y and then takes 1 or 2 dies
+        spec = edge_system(4, {1, 2})
+        for x, y, word in ((F(1, 4), F(3, 4), ("1",)), (F(3, 4), F(1, 4), None)):
+            params = XiParams(n_exact=3, m_grid=GRID)
+            got = _exact_tail_scan(spec, x, y, params)
+            assert got == oracle_exact_tail_scan(spec, as_point(x), as_point(y), params)
+            assert got[1] == word
+        dead = [w for w, m in enumerate_cylinders(spec, F(1, 4), 1)
+                if cylinder_measure(spec, F(3, 4), w) == 0]
+        assert dead == [("1",), ("2",)]
+        assert fold_paths["chain"] == 2 and not fold_paths["walker"]
+
+    def test_dead_words_at_depth_two_keep_the_lex_least(self, fold_paths):
+        # from 7/12 and 11/12 nothing dies at depth 1; at depth 2 the words
+        # 30, 31, 40 and 41 die, under two parents that come after 0, 1, 2
+        spec = edge_system(5, {0, 1})
+        x, y = Point(F(7, 12)), Point(F(11, 12))
+        dead = [w for w, _m in enumerate_cylinders(spec, x, 2)
+                if cylinder_measure(spec, y, w) == 0]
+        assert dead == [("3", "0"), ("3", "1"), ("4", "0"), ("4", "1")]
+        params = XiParams(n_exact=3, m_grid=GRID)
+        got = _exact_tail_scan(spec, x, y, params)
+        assert got == oracle_exact_tail_scan(spec, x, y, params)
+        assert got[1] == ("3", "0")
+        assert fold_paths["chain"] == 1 and not fold_paths["walker"]
+
+    def test_eleven_edges_order_by_index(self, fold_paths):
+        # edges 2 and 10 are dead above 1/2: by edge index 2 comes first,
+        # by edge-id string "10" would
+        spec = edge_system(11, {2, 10})
+        params = XiParams(n_exact=2, m_grid=GRID)
+        for x, y in ((F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), (F(1, 9), F(5, 6))):
+            for a, b in ((x, y), (y, x)):
+                got = _exact_tail_scan(spec, a, b, params)
+                assert got == oracle_exact_tail_scan(spec, as_point(a), as_point(b), params)
+            assert compare_public_folds(spec, Point(x), Point(y), 2)
+        assert _exact_tail_scan(spec, F(1, 4), F(3, 4), params)[1] == ("2",)
+        assert fold_paths["chain"] and not fold_paths["walker"]
+
+    def test_no_stable_partition_walks_words(self, fold_paths):
+        # 2x/3 and x/3 + 2/3 cut at 1/2 pull the cut back without end
+        low, high = Interval(F(0), F(1, 2), True, True), Interval(F(1, 2), F(1), False, True)
+        spec = SystemSpec(domain=Interval(F(0), F(1)), edges=(
+            Edge("0", AffineMap(F(2, 3), F(0)),
+                 PiecewiseConstant(((low, F(1, 3)), (high, F(2, 3))))),
+            Edge("1", AffineMap(F(1, 3), F(2, 3)),
+                 PiecewiseConstant(((low, F(2, 3)), (high, F(1, 3)))))))
+        with pytest.raises(RefinementBudgetExceeded):
+            fundamental_partition(spec)
+        compare_public_folds(spec, Point(F(1, 4)), Point(F(3, 4)), 6)
+        assert fold_paths["walker"] and not fold_paths["chain"]
+
+    def test_shared_edge_ids_walk_words(self, fold_paths):
+        # the chain keys its arcs by edge id, so two edges named "0" would
+        # merge there; the walker keeps them apart
+        spec = edge_system(3, {1})
+        spec = replace(spec, edges=tuple(replace(e, edge_id="0") if e.edge_id == "2" else e
+                                         for e in spec.edges))
+        compare_public_folds(spec, Point(F(1, 4)), Point(F(3, 4)), 3)
+        assert fold_paths["walker"] and not fold_paths["chain"]
+
+    def test_argument_checks_on_the_chain(self):
+        # depth, then budget, then domain, with the walker's messages
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            tail_mass_exact(POSITIVE, 2, 3, -1, 2)
+        with pytest.raises(BudgetExceeded, match=r"2\^40 exceeds budget 1048576"):
+            tail_mass_exact(POSITIVE, 2, 3, 40, 2)
+        with pytest.raises(BudgetExceeded, match=r"2\^40 exceeds budget 1048576"):
+            martingale_discrepancy(POSITIVE, 2, 3, 1, 40)
+        with pytest.raises(BudgetExceeded, match=r"2\^12 exceeds budget 1024"):
+            xi_estimate(POSITIVE, F(1, 4), F(3, 4),
+                        XiParams(n_exact=12, budget=1 << 10, seed=1))
+        # a system whose probabilities leave a gap fails only once a fold
+        # reads them, after the argument checks
+        gap = replace(POSITIVE, edges=tuple(
+            replace(e, prob=PiecewiseConstant(e.prob.pieces[:1])) for e in POSITIVE.edges))
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            xi_estimate(gap, F(1, 4), F(3, 4), XiParams(n_exact=-1, seed=1))
+        with pytest.raises(OverlappingPieces):
+            xi_estimate(gap, F(1, 4), F(3, 4), XiParams(n_exact=2, seed=1))
+        for call in (lambda: tail_mass_exact(POSITIVE, 2, F(1, 2), 3, 2),
+                     lambda: tail_mass_exact(POSITIVE, F(1, 2), -1, 3, 2),
+                     lambda: martingale_discrepancy(POSITIVE, F(1, 2), 2, 1, 3)):
+            with pytest.raises(OutOfDomain):
+                call()
 
     @pytest.mark.parametrize("spec, x, y", [
         # start on a cut owned by the left cell (1/9, 1/2), then on one
