@@ -23,7 +23,8 @@ singular, is written to OUTDIR/identity_maps/system.txt and run through
 `graph`, which exits 3 with the solver's `SingularSystem`. A system with
 no stable partition at the default cap (maps 2x/3 and x/3 + 2/3, cut at
 1/2), whose exact folds walk words, is written to
-OUTDIR/no_partition/system.txt and run through `cylinders` and `xi`:
+OUTDIR/no_partition/system.txt and run through `cylinders`, `xi` and
+`simulate`, which prints its trace and averages without class visits:
 
     OUTDIR/<system>/<run>/stdout.txt
     OUTDIR/<system>/<run>/exit_code.txt
@@ -195,7 +196,9 @@ def main() -> int:
     plan.append(("no_partition", [
         ("cylinders", ["cylinders", str(walked), "--x", "1/3", "--depth", "6", "--json"]),
         ("xi", xi(str(walked), "1/4", "3/4", 8)),
-        ("xi_separated", xi(str(walked), "0", "1", 8))]))
+        ("xi_separated", xi(str(walked), "0", "1", 8)),
+        ("simulate", ["simulate", str(walked), "--x0", "1/3", "--steps", "2000",
+                      "--seed", SEED, "--f", "poly:0,1", "--json"])]))
     for name, named_runs in plan:
         for run_name, argv in named_runs:
             where = root / name / run_name

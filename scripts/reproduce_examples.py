@@ -23,7 +23,7 @@ from rdsys.graph import (digraph_of_chain, exact_first_moment, is_aperiodic,
                          is_irreducible, stationary_distribution)
 from rdsys.measures import XiParams, xi_estimate
 from rdsys.model import Point, format_rational
-from rdsys.partition import PartitionParams, fundamental_partition, stable_partition
+from rdsys.partition import PartitionParams, fundamental_partition
 
 F = Fraction
 

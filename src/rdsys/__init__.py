@@ -12,9 +12,9 @@ from .model import (AffineMap, DiscreteMeasure, Edge, Interval, Point,
                     format_rational, markov_operator, parse_rational, prob,
                     push_forward, validate_system)
 from .sysfile import format_system, load_system, parse_system, save_system
-from .measures import (ExtendedRatio, XiParams, XiReport, cylinder_measure,
-                       enumerate_cylinders, likelihood_ratio,
-                       martingale_discrepancy, tail_mass_exact, xi_estimate)
+from .measures import (XiParams, XiReport, cylinder_measure,
+                       enumerate_cylinders, martingale_discrepancy,
+                       tail_mass_exact, xi_estimate)
 from .partition import (BalancedProduct, Cell, FundamentalPartition,
                         IntervalPartition, LabeledChain, PartitionParams,
                         ProductGraph, UnbalancedProduct, classify_point,

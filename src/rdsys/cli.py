@@ -236,8 +236,8 @@ def _cmd_partition(args, spec, out: _Output) -> int:
     out.say(partmod.partition_report(fp).rstrip("\n"))
 
     problems = partmod.verify_separations(fp, spec)
-    for p in problems:
-        raise RdsError(f"certificate re-verification failed: {p}")
+    if problems:
+        raise RdsError(f"certificate re-verification failed: {problems[0]}")
 
     depth = args.lift_depth
     points = _spot_points(spec, fp, 5)
@@ -271,8 +271,7 @@ def _cmd_partition(args, spec, out: _Output) -> int:
 
 
 def _cmd_graph(args, spec, out: _Output) -> int:
-    chain = partmod.extract_symbolic_chain(
-        spec, partmod.stable_partition(spec, args.refine_cap))
+    chain = partmod.analysis(spec, args.refine_cap).chain
     g = graphmod.digraph_of_chain(chain)
     irr = graphmod.is_irreducible(g)
     aper = graphmod.is_aperiodic(g)
@@ -322,8 +321,12 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
     x0 = as_point(args.x0)
     spec.require_in_domain(x0)
     # filed before any step: a tagged start at a one-point cell's value has no cell
-    fp = partmod.fundamental_partition(spec)
-    fp.partition.cell_of_point(x0)
+    try:
+        fp = partmod.fundamental_partition(spec)
+    except partmod.NO_STABLE_PARTITION as exc:
+        fp, missing = None, exc
+    else:
+        fp.partition.cell_of_point(x0)
     trace = dynamics.simulate(spec, x0, args.steps, args.seed)
     out.say(f"trace: {len(trace)} steps from x0={x0}, seed={trace.seed}, "
             f"exact prefix {trace.exact_steps} steps")
@@ -336,12 +339,16 @@ def _cmd_simulate(args, spec, out: _Output) -> int:
         out.say(f"ergodic average of {f}: {shown}")
         tree["averages"][str(f)] = shown
 
-    freqs = dynamics.class_frequencies(trace, fp)
-    out.say("class visit frequencies:")
-    for info in fp.classes:
-        out.say(f"  class {info.class_id} {info.describe()}: "
-                f"{format_rational(freqs[info.class_id])}")
-    tree["class_frequencies"] = {cid: format_rational(v) for cid, v in freqs.items()}
+    if fp is None:
+        out.say(f"class visit frequencies: none, {missing}")
+        tree["class_frequencies"] = None
+    else:
+        freqs = dynamics.class_frequencies(trace, fp)
+        out.say("class visit frequencies:")
+        for info in fp.classes:
+            out.say(f"  class {info.class_id} {info.describe()}: "
+                    f"{format_rational(freqs[info.class_id])}")
+        tree["class_frequencies"] = {cid: format_rational(v) for cid, v in freqs.items()}
 
     def trace_csv() -> str:
         buf = io.StringIO()

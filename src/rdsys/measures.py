@@ -3,9 +3,9 @@
 Starting the process at x induces a probability measure on infinite edge
 sequences whose cylinder masses are telescoping products of one-step
 probabilities. This module computes those masses exactly, together with
-the prefix likelihood ratios between two starting points, their martingale
-defect, exact tail masses, and a graded finite-depth verdict on whether
-the two path measures share null sets.
+the martingale defect of the prefix likelihood ratios between two
+starting points, exact tail masses, and a graded finite-depth verdict on
+whether the two path measures share null sets.
 
 Every fold computes in integers over scale**k, scale the common
 denominator of the probabilities (`CellIndex.scale`). There are two ways
@@ -22,7 +22,9 @@ to reach the depth-k words:
   (`_pair_layers`), and `martingale_discrepancy` is two dynamic programs
   on cell pairs (`_martingale_on_chain`). A layer never has more keys
   than there are words at its depth, so on no input do the layers cost
-  more than a constant factor over the walk.
+  more than a constant factor over the walk. The chain is that of the
+  system's `partition.analysis`, kept on the spec: the closure runs once
+  per system, also when it finds no stable partition.
 * The walk. `_code_walk` visits the words one by one, up to |E|**depth of
   them. `enumerate_cylinders` lists words, so it walks. `partition.lift_check`
   walks, because it must not read the chain it checks. The pair folds walk
@@ -130,20 +132,19 @@ def _code_walk(spec: SystemSpec, x: PointLike, y: Optional[PointLike], depth: in
     return scale, nodes()
 
 
-def _chain_start(spec: SystemSpec, xp: Point, yp: Point, stable=None):
-    """(arcs, a, b): the integer tables of the system's chain
-    (`_chain_arcs`) and the cells of xp and yp, or None when the system
-    has no stable partition at `partition.REFINE_CAP`, a point has no
-    cell, or two edges share an id. `stable` is the (partition, chain)
-    pair of `partition._stable_chain`, built here when not given."""
-    part, chain = partition._stable_chain(spec) if stable is None else stable
-    if chain is None or len(set(chain.labels)) < len(chain.labels):
-        return None
+def _chain_start(spec: SystemSpec, xp: Point, yp: Point):
+    """(arcs, a, b): the integer tables of the chain of the system's
+    `partition.analysis` (`_chain_arcs`) and the cells of xp and yp, or
+    None when the system has no stable partition at `partition.REFINE_CAP`,
+    a point has no cell, or two edges share an id."""
     try:
-        a, b = part.cell_of_point(xp), part.cell_of_point(yp)
-    except OutOfDomain:
+        kept = partition.analysis(spec)
+        a, b = kept.partition.cell_of_point(xp), kept.partition.cell_of_point(yp)
+    except (*partition.NO_STABLE_PARTITION, OutOfDomain):
         return None
-    return _chain_arcs(spec.cell_index.scale, chain), a, b
+    if len(set(kept.chain.labels)) < len(kept.chain.labels):
+        return None
+    return _chain_arcs(spec.cell_index.scale, kept.chain), a, b
 
 
 def _chain_arcs(scale: int, chain):
@@ -219,14 +220,13 @@ def _pair_layers(arcs, a: int, b: int, depth: int):
         layer = nxt
 
 
-def _pair_walk(spec: SystemSpec, x: PointLike, y: PointLike, depth: int, budget: int,
-               stable=None):
+def _pair_walk(spec: SystemSpec, x: PointLike, y: PointLike, depth: int, budget: int):
     """(scale, nodes) of the pair walk to `depth`: `_pair_layers` on the
     chain where `_chain_start` finds one, `_code_walk` otherwise. Both
     check their arguments by `_check_walk` first, so the errors are the
     walker's on either path."""
     xp, yp = _check_walk(spec, x, y, depth, budget)
-    start = _chain_start(spec, xp, yp, stable)
+    start = _chain_start(spec, xp, yp)
     if start is None:
         return _code_walk(spec, xp, yp, depth, budget)
     return spec.cell_index.scale, _pair_layers(*start, depth)
@@ -275,45 +275,6 @@ def enumerate_cylinders(spec: SystemSpec, x: PointLike, depth: int, *,
     mass = dict(rows)
     return [(word, mass.get(word, Fraction(0)))
             for word in itertools.product(spec.edge_ids, repeat=depth)]
-
-
-# ---------------------------------------------------------------------------
-# likelihood ratios
-
-@dataclass(frozen=True)
-class ExtendedRatio:
-    """A nonnegative rational or the infinite value."""
-
-    finite_value: Optional[Fraction]  # None encodes infinity
-
-    @staticmethod
-    def finite(q) -> "ExtendedRatio":
-        return ExtendedRatio(Fraction(q))
-
-    @staticmethod
-    def infinite() -> "ExtendedRatio":
-        return ExtendedRatio(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.finite_value is None
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else format_rational(self.finite_value)
-
-
-def likelihood_ratio(spec: SystemSpec, x: PointLike, y: PointLike,
-                     word: Word) -> ExtendedRatio:
-    """Prefix ratio of the two cylinder masses, with the exact case split:
-    the ratio when the denominator is positive, zero when the numerator
-    vanishes, infinity when only the denominator vanishes."""
-    num = cylinder_measure(spec, x, word)
-    den = cylinder_measure(spec, y, word)
-    if den > 0:
-        return ExtendedRatio.finite(num / den)
-    if num == 0:
-        return ExtendedRatio.finite(0)
-    return ExtendedRatio.infinite()
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +447,14 @@ class XiReport:
         return "\n".join(lines) + "\n"
 
 
-def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiParams,
-                     stable=None):
-    """One pair walk (`_pair_walk`, on `stable`'s chain when it has one)
-    collecting x-direction tail masses for every depth up to n_exact and
-    every grid threshold, and the lex-least by edge index among the
-    shortest words with positive x-mass and zero y-mass, or None; the
-    x-masses at each depth must sum to 1."""
+def _exact_tail_scan(spec: SystemSpec, x: PointLike, y: PointLike, params: XiParams):
+    """One pair walk (`_pair_walk`) collecting x-direction tail masses
+    for every depth up to n_exact and every grid threshold, and the
+    lex-least by edge index among the shortest words with positive x-mass
+    and zero y-mass, or None; the x-masses at each depth must sum to 1."""
     n_exact = params.n_exact
     # called first: it checks n_exact and the budget before the tables are sized
-    scale, nodes = _pair_walk(spec, x, y, n_exact, params.budget, stable)
+    scale, nodes = _pair_walk(spec, x, y, n_exact, params.budget)
     power = [scale ** k for k in range(n_exact + 1)]
     grid = sorted({Fraction(M) for M in params.m_grid})
     ratios = [(M.numerator, M.denominator) for M in grid]
@@ -610,12 +569,8 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
     spec.require_in_domain(xp)
     spec.require_in_domain(yp)
 
-    # one stable partition and chain for both scans and the certificate,
-    # built once the scans' own argument checks pass
-    _check_walk(spec, xp, yp, params.n_exact, params.budget)
-    stable = partition._stable_chain(spec)
-    tails_x, witness_x = _exact_tail_scan(spec, xp, yp, params, stable)
-    tails_y, witness_y = _exact_tail_scan(spec, yp, xp, params, stable)
+    tails_x, witness_x = _exact_tail_scan(spec, xp, yp, params)
+    tails_y, witness_y = _exact_tail_scan(spec, yp, xp, params)
     table = {key: tails_x[key] + tails_y[key] for key in tails_x}
     witness = witness_x if witness_x is not None else witness_y
 
@@ -648,7 +603,7 @@ def xi_estimate(spec: SystemSpec, x: PointLike, y: PointLike,
                 witness = word
                 break
 
-    cert = partition._pair_certificate(*stable, xp, yp)
+    cert = partition.pair_certificate(spec, xp, yp)
     if witness is None and cert is not None and cert.kind == "support_separation":
         witness = cert.word
 

@@ -386,6 +386,13 @@ class SystemSpec:
         not a field, so it takes no part in equality or hashing."""
         return CellIndex(self)
 
+    @functools.cached_property
+    def analyses(self) -> dict:
+        """Refinement cap -> the system's `partition.Analysis`, or the error
+        that shows it has no stable partition at that cap; filled by
+        `partition.analysis`. Not a field, like `cell_index`."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # discrete measures

@@ -458,6 +458,43 @@ class ProductGraph:
 
 
 # ---------------------------------------------------------------------------
+# one analysis per system
+
+# the errors that show a system has no stable partition at a cap
+NO_STABLE_PARTITION = (RefinementBudgetExceeded, NonConstantOnCell, ImageSplitsCells)
+
+
+class Analysis:
+    """A system's stable partition at one cap and its chain; the product
+    graph is built on first read. Every caller shares it, so it is read
+    only."""
+
+    def __init__(self, spec: SystemSpec, cap: int):
+        self.partition = refine_markov_partition(spec, cap)
+        self.chain = extract_symbolic_chain(spec, self.partition)
+
+    @cached_property
+    def product(self) -> ProductGraph:
+        return ProductGraph(self.chain)
+
+
+def analysis(spec: SystemSpec, cap: int = REFINE_CAP) -> Analysis:
+    """The system's `Analysis` at `cap`, built on first use and kept in
+    `spec.analyses`. A system with no stable partition keeps its error,
+    raised again on every call without the tracebacks of earlier raises."""
+    kept = spec.analyses.get(cap)
+    if kept is None:
+        try:
+            kept = Analysis(spec, cap)
+        except NO_STABLE_PARTITION as exc:
+            kept = exc
+        spec.analyses[cap] = kept
+    if isinstance(kept, Exception):
+        raise kept.with_traceback(None)
+    return kept
+
+
+# ---------------------------------------------------------------------------
 # the merged partition
 
 @dataclass
@@ -515,8 +552,9 @@ class FundamentalPartition:
 
 def fundamental_partition(spec: SystemSpec,
                           params: Optional[PartitionParams] = None) -> FundamentalPartition:
-    """Full pipeline: stable partition, symbolic chain, its product graph,
-    the classes of the balanced pairs, and the reduced labeled system with
+    """Full pipeline: the system's kept `analysis` at the cap (stable
+    partition, symbolic chain, product graph), then, fresh on each call,
+    the classes of the balanced pairs and the reduced labeled system with
     its label projection. Each state joins the first state it is balanced
     with, its leader; the balanced pairs must be exactly the pairs sharing
     a class. In `lands != lands[:, root]` a -1 entry is a missing label and
@@ -524,9 +562,8 @@ def fundamental_partition(spec: SystemSpec,
     label targets differ from its leader's. Each failure raises
     `InconsistentMerge`. Certificates are built only when read."""
     params = params or PartitionParams()
-    part = stable_partition(spec, params.refinement_cap)
-    chain = extract_symbolic_chain(spec, part)
-    product = ProductGraph(chain)
+    kept = analysis(spec, params.refinement_cap)
+    chain, product = kept.chain, kept.product
 
     n = chain.n_states
     balanced = ((product.sep_dist < 0) & (product.unbal_dist < 0)).reshape(n, n)
@@ -562,35 +599,23 @@ def fundamental_partition(spec: SystemSpec,
                       for label, t in zip(chain.labels, cols[states[0]]) if t >= 0]
 
     return FundamentalPartition(
-        partition=part, chain=chain, product=product, classes=classes,
+        partition=kept.partition, chain=chain, product=product, classes=classes,
         state_class=state_class, fms_edges=fms_edges)
-
-
-def _stable_chain(spec: SystemSpec) -> tuple:
-    """The stable partition at `REFINE_CAP` and its chain, or (None, None)
-    when the system has none."""
-    try:
-        part = stable_partition(spec)
-        return part, extract_symbolic_chain(spec, part)
-    except (RefinementBudgetExceeded, NonConstantOnCell, ImageSplitsCells):
-        return None, None
-
-
-def _pair_certificate(part: Optional[IntervalPartition], chain: Optional[LabeledChain],
-                      x: Point, y: Point):
-    """The certificate of the cells of `part` holding x and y, read off
-    the product graph of `chain`; None when there is no chain."""
-    if chain is None:
-        return None
-    return ProductGraph(chain).certificate(part.cell_of_point(x), part.cell_of_point(y))
 
 
 def pair_certificate(spec: SystemSpec, x: PointLike, y: PointLike):
     """The certificate of the cells holding x and y, or None when the
     system has no stable partition. The path measure from a point equals
     the chain's measure from its cell, so the certificate decides the pair
-    of points exactly. Builds the chain's product graph and merges nothing."""
-    return _pair_certificate(*_stable_chain(spec), as_point(x), as_point(y))
+    of points exactly. Reads the system's kept product graph; merges
+    nothing."""
+    xp, yp = as_point(x), as_point(y)
+    try:
+        kept = analysis(spec)
+    except NO_STABLE_PARTITION:
+        return None
+    return kept.product.certificate(kept.partition.cell_of_point(xp),
+                                    kept.partition.cell_of_point(yp))
 
 
 def classify_point(fp: FundamentalPartition, x: PointLike) -> int:

@@ -107,6 +107,17 @@ def mixed_system(rng: random.Random) -> SystemSpec:
         Edge(str(e), random_map(rng), prob) for e, prob in enumerate(probs)))
 
 
+def no_partition_system() -> SystemSpec:
+    """Maps 2x/3 and x/3 + 2/3 cut at 1/2, a new spec on each call: pulling
+    the cut back through 2x/3 never closes, so there is no stable partition."""
+    low, high = Interval(Fraction(0), Fraction(1, 2)), Interval(Fraction(1, 2), Fraction(1), False)
+    return SystemSpec(domain=UNIT, edges=(
+        Edge("0", AffineMap(Fraction(2, 3), Fraction(0)),
+             PiecewiseConstant(((low, Fraction(1, 3)), (high, Fraction(2, 3))))),
+        Edge("1", AffineMap(Fraction(1, 3), Fraction(2, 3)),
+             PiecewiseConstant(((low, Fraction(2, 3)), (high, Fraction(1, 3)))))))
+
+
 # ---------------------------------------------------------------------------
 # The two routes of `partition.stable_partition` before it crossed the
 # interval cells with the tag, kept verbatim with their refusals as the

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import no_partition_system
 from rdsys import dynamics, systems
 from rdsys.cli import run
 from rdsys.sysfile import load_system, save_system
@@ -288,6 +289,19 @@ class TestSimulate:
             assert line.endswith(",exact")
             assert "." not in line.split(",")[2]
 
+    def test_no_stable_partition_prints_the_trace(self, tmp_path, capsys):
+        path = tmp_path / "walked.txt"
+        save_system(no_partition_system(), path)
+        outdir = tmp_path / "w"
+        assert run(["simulate", str(path), "--x0", "1/3", "--steps", "30", "--seed", "4",
+                    "-o", str(outdir), "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("trace: 30 steps from x0=1/3, seed=4")
+        assert lines[1].startswith("ergodic average of poly:0,1: ")
+        assert lines[2] == ("class visit frequencies: none, "
+                            "no finite stable partition found at cap 256 breakpoints")
+        assert json.loads((outdir / "report.json").read_text())["class_frequencies"] is None
+        assert len((outdir / "trace.csv").read_text().splitlines()) == 32   # header, start, steps
 
     def test_trace_rendered_only_for_an_output_directory(self, step_file, tmp_path,
                                                          monkeypatch):

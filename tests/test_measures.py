@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import MIXED_SPLIT, mixed_system, random_system
+from conftest import MIXED_SPLIT, mixed_system, no_partition_system, random_system
 from rdsys import measures, systems
-from rdsys.measures import (DEFAULT_WORD_BUDGET, BudgetExceeded, ExtendedRatio,
-                            XiParams, _exact_tail_scan, cylinder_measure,
-                            enumerate_cylinders, likelihood_ratio,
+from rdsys.measures import (DEFAULT_WORD_BUDGET, BudgetExceeded, XiParams,
+                            _exact_tail_scan, cylinder_measure, enumerate_cylinders,
                             martingale_discrepancy, tail_mass_exact, xi_estimate)
 from rdsys.model import (AffineMap, DegenerateSampling, Edge, Interval, OutOfDomain,
                          OverlappingPieces, PiecewiseConstant, Point, PointLike,
@@ -29,7 +28,6 @@ POSITIVE = systems.positive_step_system()
 SPLIT = systems.rational_split_system()
 IRR = systems.IRRATIONAL_SAMPLE
 
-words2 = st.lists(st.sampled_from(["0", "1"]), min_size=1, max_size=6).map(tuple)
 rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=40)
 
 
@@ -107,27 +105,15 @@ class TestConsistency:
 
 
 class TestLikelihoodRatio:
-    @given(words2)
-    def test_same_point_ratio_one(self, word):
-        r = likelihood_ratio(STEP, F(5, 7), F(5, 7), word)
-        if cylinder_measure(STEP, F(5, 7), word) > 0:
-            assert r == ExtendedRatio.finite(1)
-        else:
-            assert r == ExtendedRatio.finite(0)
+    """Prefix ratios of two points' cylinder masses."""
 
     def test_rational_vs_irrational_single_step(self):
-        assert likelihood_ratio(SPLIT, 0, IRR, ("0",)) == ExtendedRatio.finite(F(3, 4))
+        assert cylinder_measure(SPLIT, 0, ("0",)) / cylinder_measure(SPLIT, IRR, ("0",)) \
+            == F(3, 4)
 
     def test_infinite_branch(self):
-        r = likelihood_ratio(STEP, 1, F(1, 4), ("0", "0"))
-        assert r.is_infinite
-
-    @given(words2, rationals01, rationals01)
-    def test_symmetry(self, word, x, y):
-        r = likelihood_ratio(STEP, x, y, word)
-        s = likelihood_ratio(STEP, y, x, word)
-        if r.finite_value is not None and r.finite_value > 0:
-            assert s == ExtendedRatio.finite(1 / r.finite_value)
+        assert cylinder_measure(STEP, 1, ("0", "0")) > 0
+        assert cylinder_measure(STEP, F(1, 4), ("0", "0")) == 0
 
 
 class TestMartingale:
@@ -665,13 +651,7 @@ class TestDifferential:
         assert fold_paths["chain"] and not fold_paths["walker"]
 
     def test_no_stable_partition_walks_words(self, fold_paths):
-        # 2x/3 and x/3 + 2/3 cut at 1/2 pull the cut back without end
-        low, high = Interval(F(0), F(1, 2), True, True), Interval(F(1, 2), F(1), False, True)
-        spec = SystemSpec(domain=Interval(F(0), F(1)), edges=(
-            Edge("0", AffineMap(F(2, 3), F(0)),
-                 PiecewiseConstant(((low, F(1, 3)), (high, F(2, 3))))),
-            Edge("1", AffineMap(F(1, 3), F(2, 3)),
-                 PiecewiseConstant(((low, F(2, 3)), (high, F(1, 3)))))))
+        spec = no_partition_system()
         with pytest.raises(RefinementBudgetExceeded):
             fundamental_partition(spec)
         compare_public_folds(spec, Point(F(1, 4)), Point(F(3, 4)), 6)

@@ -1,5 +1,6 @@
 import random
-from dataclasses import replace
+import traceback
+from dataclasses import fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,16 +8,18 @@ import numpy as np
 import pytest
 
 import conftest as oracle
-from conftest import MIXED_SPLIT, mixed_system, random_system, triadic_system
+from conftest import (MIXED_SPLIT, mixed_system, no_partition_system, random_system,
+                      triadic_system)
 from rdsys import graph, partition, systems
 from rdsys.cli import run
 from rdsys.dynamics import Polynomial, class_frequencies, simulate
-from rdsys.measures import cylinder_measure
+from rdsys.measures import (XiParams, cylinder_measure, martingale_discrepancy,
+                            tail_mass_exact, xi_estimate)
 from rdsys.model import (AffineMap, Edge, InconsistentMerge, Interval,
                          OutOfDomain, PiecewiseConstant, Point,
                          RationalityPredicate, RefinementBudgetExceeded,
                          SystemSpec)
-from rdsys.partition import (REFINE_CAP, BalancedProduct, Cell, LabeledChain,
+from rdsys.partition import (REFINE_CAP, Analysis, BalancedProduct, Cell, LabeledChain,
                              PartitionParams, ProductGraph, SupportSeparation,
                              UnbalancedProduct, adjoint_discrepancy,
                              classify_point, extract_symbolic_chain,
@@ -831,9 +834,10 @@ class TestFundamentalPartition:
                 for v in (0 * n + 2, 2 * n + 0):
                     self.unbal_dist[v], self.unbal_next[v] = 0, 0
 
-        spec = triadic_system(1, random.Random(1))
-        assert fundamental_partition(spec).class_count() == 1
+        assert fundamental_partition(triadic_system(1, random.Random(1))).class_count() == 1
         monkeypatch.setattr(partition, "ProductGraph", Forged)
+        # a new spec: the first one keeps its unforged analysis
+        spec = triadic_system(1, random.Random(1))
         with pytest.raises(InconsistentMerge):
             fundamental_partition(spec)
 
@@ -852,8 +856,9 @@ class TestFundamentalPartition:
                     self.sep_dist[v] = self.unbal_dist[v] = -1
 
         monkeypatch.setattr(partition, "ProductGraph", Forged)
+        spec = systems.step_system()   # STEP may keep an unforged analysis
         with pytest.raises(InconsistentMerge, match=message):
-            fundamental_partition(STEP)
+            fundamental_partition(spec)
 
     def test_certificates_built_on_first_read(self, monkeypatch, capsys):
         calls, built = [], []
@@ -877,6 +882,61 @@ class TestFundamentalPartition:
     def test_partition_needs_no_seed(self):
         a = partition_report(fundamental_partition(SPLIT, PartitionParams()))
         assert a == partition_report(fundamental_partition(SPLIT, small_params()))
+
+
+class TestAnalysis:
+    """One `partition.analysis` per (spec, cap), kept off the fields."""
+
+    def test_equality_and_hashing_unchanged(self):
+        spec, copy = systems.step_system(), systems.step_system()
+        assert isinstance(partition.analysis(spec), Analysis)
+        partition.pair_certificate(spec, F(1, 4), F(3, 4))
+        assert spec == copy and hash(spec) == hash(copy)
+        assert [f.name for f in fields(SystemSpec)] == ["domain", "edges"]
+        assert list(spec.analyses) == [REFINE_CAP] and copy.analyses == {}
+
+    @pytest.mark.parametrize("make", [
+        systems.step_system, lambda: triadic_system(2, random.Random(3), zeros=True),
+        no_partition_system], ids=["step_ninth", "triadic2_0to3", "no_partition"])
+    def test_one_closure_per_system_and_cap(self, monkeypatch, make):
+        calls = []
+        refine = partition.refine_markov_partition
+        monkeypatch.setattr(partition, "refine_markov_partition",
+                            lambda spec, cap: calls.append(cap) or refine(spec, cap))
+        spec = make()
+        x, y = F(1, 4), F(3, 4)
+        params = XiParams(n_exact=3, n_mc=4, num_samples=4, seed=1)
+        for _ in range(3):
+            partition.pair_certificate(spec, x, y)
+            tail_mass_exact(spec, x, y, 4, 2)
+            martingale_discrepancy(spec, x, y, 1, 4)
+            xi_estimate(spec, x, y, params)
+            for cap in (REFINE_CAP, 24):
+                try:
+                    fundamental_partition(spec, PartitionParams(refinement_cap=cap))
+                except partition.NO_STABLE_PARTITION:
+                    pass
+        assert calls == [REFINE_CAP, 24]
+
+    def test_caps_keep_separate_entries(self):
+        spec = triadic_system(4, random.Random(1))
+        with pytest.raises(RefinementBudgetExceeded, match="cap 24 "):
+            partition.analysis(spec, 24)
+        kept = partition.analysis(spec, 256)
+        assert kept.chain.n_states == 82
+        assert partition.analysis(spec) is kept and spec.analyses[256] is kept
+        assert isinstance(spec.analyses[24], RefinementBudgetExceeded)
+
+    def test_kept_error_raised_alike(self):
+        spec = no_partition_system()
+        raised = []
+        for _ in range(3):
+            with pytest.raises(RefinementBudgetExceeded) as info:
+                partition.analysis(spec)
+            raised.append((type(info.value), str(info.value),
+                           len(traceback.extract_tb(info.value.__traceback__))))
+        assert raised[0][1] == "no finite stable partition found at cap 256 breakpoints"
+        assert raised == raised[:1] * 3
 
 
 class TestClassify:
